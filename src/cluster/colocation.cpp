@@ -42,40 +42,33 @@ std::vector<IspClustering> ColocationClusterer::cluster_isp_multi(
 
 std::vector<IspClustering> ColocationClusterer::cluster_isp_multi(
     AsIndex isp, std::span<const double> xis, LatencyMatrix premeasured) const {
-  const LatencyMatrix raw = std::move(premeasured);
-  return cluster_rows(isp, xis, LatencyMatrixRows(raw), /*streamed=*/false, 0);
-}
-
-std::vector<IspClustering> ColocationClusterer::cluster_isp_multi(
-    AsIndex isp, std::span<const double> xis, const LatencyRows& rows,
-    std::size_t block_rows) const {
-  return cluster_rows(isp, xis, rows, /*streamed=*/true, block_rows);
-}
-
-std::vector<IspClustering> ColocationClusterer::cluster_rows(
-    AsIndex isp, std::span<const double> xis, const LatencyRows& rows,
-    bool streamed, std::size_t block_rows) const {
   require(!xis.empty(), "cluster_isp_multi: need at least one xi");
   IspClustering base;
   base.isp = isp;
 
-  bool done = rows.row_count() == 0;
+  bool done = premeasured.row_count() == 0;
 
+  // Appendix-A filters plus the registry-index copy: one cluster.clean_ms
+  // sample per ISP. The raw matrix is dropped as soon as the compact copy
+  // exists, so it never sits next to the distance matrix.
   FilteredMatrix cleaned;
-  if (!done) {
-    cleaned = clean_matrix(rows, vps_, config_.filter,
-                           /*materialize=*/!streamed);
-    base.dropped_unresponsive = cleaned.dropped_unresponsive;
-    base.dropped_impossible = cleaned.dropped_impossible;
-    base.usable_sites = cleaned.col_count();
-    done = !cleaned.usable;
-  }
-  if (!done) {
-    base.usable = true;
-    base.registry_indices.reserve(cleaned.row_count());
-    for (const std::size_t row : cleaned.kept_rows) {
-      base.registry_indices.push_back(rows.server_index(row));
+  {
+    obs::ScopedTimer timer("cluster.clean_ms");
+    if (!done) {
+      cleaned = clean_matrix(premeasured, vps_, config_.filter);
+      base.dropped_unresponsive = cleaned.dropped_unresponsive;
+      base.dropped_impossible = cleaned.dropped_impossible;
+      base.usable_sites = cleaned.col_count();
+      done = !cleaned.usable;
     }
+    if (!done) {
+      base.usable = true;
+      base.registry_indices.reserve(cleaned.row_count());
+      for (const std::size_t row : cleaned.kept_rows) {
+        base.registry_indices.push_back(premeasured.server_indices[row]);
+      }
+    }
+    premeasured = LatencyMatrix{};
   }
 
   std::vector<IspClustering> out;
@@ -87,14 +80,6 @@ std::vector<IspClustering> ColocationClusterer::cluster_rows(
 
   const DistanceMatrix distances = [&] {
     obs::ScopedTimer timer("cluster.distance_ms");
-    if (streamed) {
-      return pairwise_distances_streamed(
-          [&rows, &cleaned](std::size_t compact_row, double* out_row) {
-            fill_compact_row(rows, cleaned, compact_row, out_row);
-          },
-          cleaned.row_count(), cleaned.col_count(), config_.trim_fraction,
-          block_rows);
-    }
     return pairwise_distances(cleaned.rtt, cleaned.row_count(),
                               cleaned.col_count(), config_.trim_fraction);
   }();

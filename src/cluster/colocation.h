@@ -73,29 +73,9 @@ class ColocationClusterer {
                                                std::span<const double> xis,
                                                LatencyMatrix premeasured) const;
 
-  /// Streamed variant over a row view (typically a store::MappedLatencyMatrix
-  /// spill): the cleaned compact matrix is never materialized; pairwise
-  /// distances are computed block-by-block with `block_rows` staging rows
-  /// per worker (0 = whole matrix in one block). Bit-identical to the
-  /// in-memory overloads -- same filters, same kernels, same canonical
-  /// ordering (docs/SCALING.md).
-  std::vector<IspClustering> cluster_isp_multi(AsIndex isp,
-                                               std::span<const double> xis,
-                                               const LatencyRows& rows,
-                                               std::size_t block_rows) const;
-
   const ColocationConfig& config() const noexcept { return config_; }
 
  private:
-  /// Shared implementation of every overload above. `streamed` selects
-  /// whether the compact matrix is materialized once (false) or compact
-  /// rows are reconstructed on demand in block_rows-sized tiles (true).
-  std::vector<IspClustering> cluster_rows(AsIndex isp,
-                                          std::span<const double> xis,
-                                          const LatencyRows& rows,
-                                          bool streamed,
-                                          std::size_t block_rows) const;
-
   const OffnetRegistry& registry_;
   const PingMesh& mesh_;
   const VantagePointSet& vps_;

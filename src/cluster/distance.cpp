@@ -244,103 +244,6 @@ DistanceMatrix pairwise_distances(std::span<const double> table,
   return matrix;
 }
 
-DistanceMatrix pairwise_distances_streamed(const RowFiller& fill_row,
-                                           std::size_t rows, std::size_t cols,
-                                           double trim_fraction,
-                                           std::size_t block_rows) {
-  require(rows >= 1 && cols >= 1, "pairwise_distances_streamed: empty table");
-  require(static_cast<bool>(fill_row),
-          "pairwise_distances_streamed: null fill_row");
-  require(trim_fraction >= 0.0 && trim_fraction < 1.0,
-          "pairwise_distances_streamed: trim_fraction outside [0, 1)");
-  DistanceMatrix matrix(rows);
-  if (rows == 1) return matrix;
-  obs::ScopedSpan span("cluster.pairwise_distances_streamed");
-
-  const cluster::KernelOps& ops = cluster::kernel_ops(simd::active_level());
-  const std::size_t lanes = ops.lanes;
-  const std::size_t keep = trim_keep_count(cols, trim_fraction);
-  const SelectPlan plan = SelectPlan::resolve(cols, keep, lanes);
-
-  const std::size_t block =
-      block_rows == 0 ? rows : std::min(block_rows, rows);
-  const std::size_t blocks = (rows + block - 1) / block;
-  // Upper-triangle block pairs (bi, bj), bi <= bj, flattened in row-major
-  // order so task t maps back to its pair with one scan (blocks is small).
-  const std::size_t tasks = blocks * (blocks + 1) / 2;
-
-  const std::size_t threads = std::min(default_thread_count(), tasks);
-  parallel_for_blocks(
-      tasks, 1,
-      [&](std::size_t task_begin, std::size_t task_end) {
-        // Per-worker staging: the two blocks under the current task plus
-        // the kernel scratch. Reused across every task the worker drains.
-        thread_local std::vector<double> stage_i;
-        thread_local std::vector<double> stage_j;
-        thread_local cluster::AlignedScratch scratch_owner;
-        double* scratch =
-            scratch_owner.ensure(cluster::kernel_scratch_doubles(cols, lanes));
-        const double* batch[cluster::kMaxKernelLanes];
-        double results[cluster::kMaxKernelLanes];
-
-        for (std::size_t task = task_begin; task < task_end; ++task) {
-          // Invert the row-major flattening: task -> (bi, bj).
-          std::size_t bi = 0;
-          std::size_t remaining = task;
-          while (remaining >= blocks - bi) {
-            remaining -= blocks - bi;
-            ++bi;
-          }
-          const std::size_t bj = bi + remaining;
-
-          const std::size_t i_begin = bi * block;
-          const std::size_t i_end = std::min(i_begin + block, rows);
-          const std::size_t j_begin = bj * block;
-          const std::size_t j_end = std::min(j_begin + block, rows);
-
-          stage_i.resize((i_end - i_begin) * cols);
-          for (std::size_t i = i_begin; i < i_end; ++i) {
-            fill_row(i, stage_i.data() + (i - i_begin) * cols);
-          }
-          const double* rows_j = stage_i.data();
-          std::size_t rows_j_base = i_begin;
-          if (bj != bi) {
-            stage_j.resize((j_end - j_begin) * cols);
-            for (std::size_t j = j_begin; j < j_end; ++j) {
-              fill_row(j, stage_j.data() + (j - j_begin) * cols);
-            }
-            rows_j = stage_j.data();
-            rows_j_base = j_begin;
-          }
-
-          for (std::size_t i = i_begin; i < i_end; ++i) {
-            const double* row_i = stage_i.data() + (i - i_begin) * cols;
-            const std::size_t lo = std::max(i + 1, j_begin);
-            if (lo >= j_end) continue;
-            const std::span<double> out_row = matrix.row_span(i);
-            const std::size_t count = j_end - lo;
-            for (std::size_t jb = 0; jb < count; jb += lanes) {
-              const std::size_t live = std::min(lanes, count - jb);
-              for (std::size_t l = 0; l < lanes; ++l) {
-                const std::size_t j = lo + jb + (l < live ? l : live - 1);
-                batch[l] = rows_j + (j - rows_j_base) * cols;
-              }
-              ops.fill_diffs(row_i, batch, cols, scratch);
-              plan.run(ops, scratch);
-              ops.reduce_mean(scratch, keep, results);
-              for (std::size_t l = 0; l < live; ++l) {
-                // Cell (i, lo + jb + l) belongs to exactly this block pair,
-                // so no other worker ever writes this slot.
-                out_row[lo + jb + l - (i + 1)] = results[l];
-              }
-            }
-          }
-        }
-      },
-      threads);
-  return matrix;
-}
-
 KernelPhaseProfile profile_kernel_phases(std::size_t n, double trim_fraction,
                                          std::size_t iterations) {
   require(n >= 1, "profile_kernel_phases: empty vectors");

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -105,30 +104,6 @@ class DistanceMatrix {
 DistanceMatrix pairwise_distances(std::span<const double> table,
                                   std::size_t rows, std::size_t cols,
                                   double trim_fraction = 0.2);
-
-/// Fills `out[0..cols)` with row `row` of the virtual latency table.
-/// Must be safe to call concurrently from several pool workers (const
-/// reads of the backing storage only).
-using RowFiller = std::function<void(std::size_t row, double* out)>;
-
-/// Block-streamed variant of pairwise_distances for tables that never exist
-/// contiguously in memory (mmap spills, lazily reconstructed compact rows).
-/// The upper triangle is tiled into `block_rows` x `block_rows` block pairs;
-/// each pool worker stages the two blocks it needs into thread-local
-/// buffers via `fill_row` and runs the exact same SIMD kernel path as the
-/// one-shot function. Peak staging memory is 2 * block_rows * cols doubles
-/// per worker regardless of `rows`.
-///
-/// Bit-identity: every (i, j) pair flows through fill_diffs/run_network/
-/// reduce_mean in its own lane, and lanes never interact, so cell values do
-/// not depend on how pairs are grouped into batches or blocks -- the result
-/// matches pairwise_distances bit-for-bit for every block size, SIMD level
-/// and thread count (tests/test_perf_kernel.cpp, tests/test_parallel.cpp).
-/// `block_rows` of 0 means "whole matrix" (one block, one staging pass).
-DistanceMatrix pairwise_distances_streamed(const RowFiller& fill_row,
-                                           std::size_t rows, std::size_t cols,
-                                           double trim_fraction = 0.2,
-                                           std::size_t block_rows = 0);
 
 /// Per-phase kernel timings for bench/perf_micro: median-free best-of-run
 /// ns per pair for the |a-b| fill, the select phase, and the ascending-sum

@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <filesystem>
-#include <optional>
 #include <string>
-#include <system_error>
 
 #include "fault/injector.h"
 #include "hypergiant/profile.h"
@@ -15,7 +11,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "store/artifact_store.h"
-#include "store/matrix_file.h"
 #include "store/serde.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -119,30 +114,6 @@ Pipeline::Pipeline(Scenario scenario, fault::FaultPlan plan,
     artifacts_->set_chaos(chaos);
   }
 
-  // Streamed matrices need a spill directory. Anchor it under a writable
-  // store (spills then persist as a rebuildable warm cache next to the .bin
-  // artifacts); otherwise use a private temp directory torn down with the
-  // pipeline. If neither can be created, streaming quietly degrades to the
-  // in-memory path -- the outputs are bit-identical either way.
-  if (scenario_.stream_matrices) {
-    namespace fs = std::filesystem;
-    if (artifacts_ != nullptr && !artifacts_->config().read_only) {
-      std::error_code ec;
-      const std::string dir = artifacts_->config().root + "/stream";
-      fs::create_directories(dir, ec);
-      if (!ec) stream_dir_ = dir;
-    }
-    if (stream_dir_.empty()) {
-      std::error_code ec;
-      std::string tmpl =
-          (fs::temp_directory_path(ec) / "repro-stream-XXXXXX").string();
-      if (!ec && ::mkdtemp(tmpl.data()) != nullptr) {
-        stream_dir_ = tmpl;
-        owns_stream_dir_ = true;
-      }
-    }
-  }
-
   obs::ScopedSpan span("pipeline.generate_internet");
   // Warm topology (ROADMAP: generation dominates a fully warm run): the
   // Internet artifact is keyed by the topology config alone, not the world
@@ -194,12 +165,7 @@ Pipeline::Pipeline(Scenario scenario, fault::FaultPlan plan,
       static_cast<double>(internet_.links.size()));
 }
 
-Pipeline::~Pipeline() {
-  if (owns_stream_dir_ && !stream_dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(stream_dir_, ec);
-  }
-}
+Pipeline::~Pipeline() = default;
 
 void Pipeline::record_health(const std::string& stage,
                              fault::StageHealth health) const {
@@ -574,17 +540,6 @@ LatencyMatrix Pipeline::isp_latency_matrix(AsIndex isp) const {
   return matrix;
 }
 
-std::string Pipeline::stream_spill_path(AsIndex isp) const {
-  // Keyed exactly like the "matrix" artifact family, with the .mmx
-  // extension marking the aligned spill layout (store/matrix_file.h).
-  std::string name = make_key("matrix", store::kLatencyMatrixSchema,
-                              world_digest_,
-                              {static_cast<std::uint64_t>(isp)})
-                         .filename();
-  name.replace(name.size() - 4, 4, ".mmx");
-  return stream_dir_ + "/" + name;
-}
-
 Pipeline::ClusterFanout Pipeline::cluster_isps(
     const std::vector<AsIndex>& isps, std::span<const double> xis) const {
   ColocationConfig config;
@@ -606,51 +561,14 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
   obs::metrics().gauge("cluster.tasks").set(static_cast<double>(isps.size()));
   const std::size_t block =
       std::max<std::size_t>(1, isps.size() / (threads * 4));
-  const bool streaming = !stream_dir_.empty();
   // Per-ISP latency matrices are the expensive xi-independent half of the
   // clustering stage, so workers consult/publish them individually; the
   // store serializes internally, keeping the fan-out data-race free (the
-  // TSan tier of scripts/check.sh covers this path).
+  // TSan tier of scripts/check.sh covers this path). fetch_isp_matrix goes
+  // through the attached store when present (single-flight, self-healing),
+  // else measures directly; it is lock-free so pool workers can call it
+  // while the fan-out caller holds the stage mutex.
   std::atomic<std::uint64_t> corrupt_matrices{0};
-
-  // Fetches one ISP's matrix: through the attached store when present
-  // (single-flight, self-healing), else by measuring directly. Shared with
-  // the public isp_latency_matrix() accessor; lock-free so pool workers can
-  // call it while the fan-out caller holds the stage mutex.
-  const auto fetch_matrix = [&](AsIndex isp) -> LatencyMatrix {
-    return fetch_isp_matrix(reg, mesh, isp, corrupt_matrices);
-  };
-
-  // Streamed path: the matrix lives in a .mmx spill and clustering reads
-  // it through an mmap view, so the full matrix never sits on the heap. A
-  // malformed spill is treated like a corrupt artifact (delete, recompute,
-  // republish); a failed spill write degrades to the in-memory path --
-  // bit-identical either way (docs/SCALING.md).
-  const auto cluster_streamed = [&](AsIndex isp) -> std::vector<IspClustering> {
-    const std::string path = stream_spill_path(isp);
-    std::optional<store::MappedLatencyMatrix> mapped;
-    try {
-      mapped = store::MappedLatencyMatrix::open_if_exists(path);
-    } catch (const store::SerdeError&) {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-      corrupt_matrices.fetch_add(1, std::memory_order_relaxed);
-    } catch (const Error&) {
-      // Unmappable (permissions, exotic filesystem): leave the file alone
-      // and fall through to a fresh fetch + in-memory fallback below.
-    }
-    if (!mapped.has_value()) {
-      LatencyMatrix computed = fetch_matrix(isp);
-      try {
-        store::write_matrix_file(path, computed);
-        mapped = store::MappedLatencyMatrix::open(path);
-      } catch (const Error&) {
-        return clusterer.cluster_isp_multi(isp, xis, std::move(computed));
-      }
-    }
-    return clusterer.cluster_isp_multi(isp, xis, *mapped,
-                                       scenario_.stream_block_rows);
-  };
 
   parallel_for_blocks(
       isps.size(), block,
@@ -667,14 +585,9 @@ Pipeline::ClusterFanout Pipeline::cluster_isps(
           obs::ScopedTimer timer("cluster.isp_wall_ms");
           IspOutcome& out = outcomes[i];
           try {
-            if (streaming) {
-              out.per_xi = cluster_streamed(isps[i]);
-            } else if (artifacts_ == nullptr) {
-              out.per_xi = clusterer.cluster_isp_multi(isps[i], xis);
-            } else {
-              out.per_xi = clusterer.cluster_isp_multi(isps[i], xis,
-                                                       fetch_matrix(isps[i]));
-            }
+            out.per_xi = clusterer.cluster_isp_multi(
+                isps[i], xis,
+                fetch_isp_matrix(reg, mesh, isps[i], corrupt_matrices));
           } catch (const Error& error) {
             // Quality gate: one pathological ISP matrix must not abort the
             // other few thousand -- keep an unusable placeholder, move on.

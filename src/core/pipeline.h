@@ -230,8 +230,6 @@ class Pipeline {
       ClusterFanout fanout, const std::string& corruption,
       std::uint64_t key) const;
 
-  /// Spill-file path for one ISP's streamed latency matrix (.mmx).
-  std::string stream_spill_path(AsIndex isp) const;
   /// Folds a stage's health record into the map, bumps the fault counters,
   /// and republishes the run-report "fault" section. Thread-safe: stages
   /// that fan work across the thread pool may record health concurrently.
@@ -244,13 +242,6 @@ class Pipeline {
   /// Digest over (measurement config, fault plan); every artifact key
   /// derives from it.
   std::uint64_t world_digest_ = 0;
-
-  /// Directory holding .mmx latency-matrix spills when the scenario streams
-  /// matrices (empty = streaming off). Rooted under the artifact store
-  /// (<root>/stream, persists across runs as a rebuildable cache) or, with
-  /// no writable store, a private temp directory removed by the destructor.
-  std::string stream_dir_;
-  bool owns_stream_dir_ = false;
 
   /// Serializes the lazy stage accessors (recursive: stages force each
   /// other). Never taken by pool-worker bodies, so the fan-out caller can

@@ -58,19 +58,12 @@ Scenario Scenario::small() {
 Scenario Scenario::paper() {
   Scenario scenario = with_scale(GeneratorConfig::paper(), 163, 100);
   scenario.scale = Scale::kPaper;
-  // At paper scale the per-ISP matrices stop fitting comfortably in RAM all
-  // at once; stream them through mmap spill files (bit-identical, so the
-  // digest -- and every shared artifact -- is unchanged).
-  scenario.stream_matrices = true;
-  scenario.stream_block_rows = 512;
   return scenario;
 }
 
 Scenario Scenario::tenx() {
   Scenario scenario = with_scale(GeneratorConfig::tenx(), 163, 100);
   scenario.scale = Scale::k10x;
-  scenario.stream_matrices = true;
-  scenario.stream_block_rows = 512;
   return scenario;
 }
 

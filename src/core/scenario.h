@@ -54,20 +54,6 @@ struct Scenario {
   /// field the label implies.
   Scale scale = Scale::kTiny;
 
-  /// Stream per-ISP latency matrices through memory-mapped spill files
-  /// (store/matrix_file.h) instead of holding each decoded copy on the
-  /// heap, and run the pairwise-distance pass in row blocks. On for the
-  /// paper and 10x presets, where the matrices would otherwise dominate
-  /// peak RSS. Streamed execution is bit-identical to in-memory execution
-  /// (enforced by the `scale` ctest label), so -- like thread counts --
-  /// these knobs are excluded from measurement_digest and never change
-  /// which artifacts a scenario shares. See docs/SCALING.md.
-  bool stream_matrices = false;
-
-  /// Row-block granularity of the streamed pairwise-distance pass
-  /// (0 = whole matrix in one block). Any value is bit-identical.
-  std::size_t stream_block_rows = 0;
-
   /// Smallest world that exercises every code path; for unit tests.
   static Scenario tiny();
   /// Mid-size world for integration tests and quick examples.
@@ -89,9 +75,7 @@ struct Scenario {
 /// rules in docs/PERSISTENCE.md). Thread counts are deliberately excluded:
 /// parallel execution is bit-identical to serial (docs/PARALLELISM.md), so
 /// a warm start is valid across any REPRO_THREADS setting. The Scale tag
-/// and the stream_matrices/stream_block_rows knobs are excluded for the
-/// same reason: streamed execution is bit-identical to in-memory
-/// (docs/SCALING.md), so both substrates share one artifact family.
+/// is excluded too: every field it implies is already mixed in.
 std::uint64_t measurement_digest(const Scenario& scenario);
 
 /// 64-bit digest over the topology-generator config alone: the key for the

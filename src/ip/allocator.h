@@ -1,8 +1,10 @@
 // Sequential prefix allocator: carves disjoint sub-prefixes out of a pool.
-// The topology generator uses one to hand each AS its address space, and
-// each AS uses one to number routers, offnet servers, and user prefixes.
+// The topology generator uses an AddressPlan (a chain of them) to hand each
+// AS its address space, and each AS uses one to number routers, offnet
+// servers, and user prefixes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +21,9 @@ class PrefixAllocator {
   /// Allocates the next aligned prefix of the given length.
   /// Requires length >= pool.length().
   Prefix allocate_prefix(int length);
+
+  /// True when allocate_prefix(length) would succeed.
+  bool fits(int length) const noexcept;
 
   /// Allocates a single address (equivalent to allocate_prefix(32)).
   Ipv4 allocate_address();
@@ -39,6 +44,21 @@ class PrefixAllocator {
  private:
   Prefix pool_;
   std::uint64_t next_offset_ = 0;  // offset of the first unallocated address
+};
+
+/// An ordered chain of pools. Allocates from the first pool until a request
+/// no longer fits there, then moves on to the next pool for good, so a world
+/// that fits its first pool is numbered exactly as by a lone PrefixAllocator.
+/// Throws Error when the last pool is exhausted.
+class AddressPlan {
+ public:
+  explicit AddressPlan(std::vector<Prefix> pools);
+
+  Prefix allocate_prefix(int length);
+
+ private:
+  std::vector<PrefixAllocator> pools_;
+  std::size_t current_ = 0;
 };
 
 }  // namespace repro

@@ -42,18 +42,16 @@ bool violates_speed_of_light(const std::vector<double>& rtts,
 FilteredMatrix clean_matrix(const LatencyMatrix& matrix,
                             const VantagePointSet& vps,
                             const FilterConfig& config) {
-  return clean_matrix(LatencyMatrixRows(matrix), vps, config);
-}
-
-FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
-                            const FilterConfig& config, bool materialize) {
   FilteredMatrix out;
-  const std::size_t vp_count = rows.vp_count();
+  const std::size_t vp_count = matrix.vp_count;
+  const auto row_of = [&matrix, vp_count](std::size_t row) {
+    return matrix.rtt.data() + row * vp_count;
+  };
 
   // Pass 1: drop unresponsive and physically impossible rows.
   std::vector<double> rtts(vp_count);
-  for (std::size_t row = 0; row < rows.row_count(); ++row) {
-    const double* values = rows.row(row);
+  for (std::size_t row = 0; row < matrix.row_count(); ++row) {
+    const double* values = row_of(row);
     bool any = false;
     for (std::size_t col = 0; col < vp_count; ++col) {
       rtts[col] = values[col];
@@ -74,7 +72,7 @@ FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
   for (std::size_t col = 0; col < vp_count; ++col) {
     bool all = !out.kept_rows.empty();
     for (const std::size_t row : out.kept_rows) {
-      if (!finite(rows.row(row)[col])) {
+      if (!finite(row_of(row)[col])) {
         all = false;
         break;
       }
@@ -87,18 +85,13 @@ FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
 
   // Pass 3: compact matrix, counting any failed measurement that slips
   // through (it would otherwise reach trimmed_manhattan as a silent NaN).
-  // The leak scan runs even when the caller skips materialization, so the
-  // `filters.*` counters below come out identical in streamed and
-  // in-memory modes -- test_scale compares them verbatim.
-  if (materialize) {
-    out.rtt.reserve(out.kept_rows.size() * out.kept_cols.size());
-  }
+  out.rtt.reserve(out.kept_rows.size() * out.kept_cols.size());
   for (const std::size_t row : out.kept_rows) {
-    const double* values = rows.row(row);
+    const double* values = row_of(row);
     for (const std::size_t col : out.kept_cols) {
       const double value = values[col];
       if (!finite(value)) ++out.nonfinite_leaked;
-      if (materialize) out.rtt.push_back(value);
+      out.rtt.push_back(value);
     }
   }
 
@@ -124,14 +117,6 @@ FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
   vps_kept.add(out.kept_cols.size());
   if (!out.usable) below_min_sites.add(1);
   return out;
-}
-
-void fill_compact_row(const LatencyRows& rows, const FilteredMatrix& filtered,
-                      std::size_t compact_row, double* out) {
-  const double* values = rows.row(filtered.kept_rows[compact_row]);
-  for (std::size_t i = 0; i < filtered.kept_cols.size(); ++i) {
-    out[i] = values[filtered.kept_cols[i]];
-  }
 }
 
 }  // namespace repro

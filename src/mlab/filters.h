@@ -66,23 +66,4 @@ FilteredMatrix clean_matrix(const LatencyMatrix& matrix,
                             const VantagePointSet& vps,
                             const FilterConfig& config);
 
-/// Source-agnostic variant over a row view (in-memory matrix or mmap spill).
-/// With `materialize` false the compact `rtt` block stays empty -- the
-/// streamed clustering path reconstructs individual compact rows on demand
-/// via fill_compact_row instead of holding rows x cols doubles resident.
-/// Every selection decision, drop count, and obs counter is computed
-/// identically either way, so the two modes are bit-identical inputs to
-/// clustering (docs/SCALING.md).
-FilteredMatrix clean_matrix(const LatencyRows& rows, const VantagePointSet& vps,
-                            const FilterConfig& config,
-                            bool materialize = true);
-
-/// Writes compact row `compact_row` (kept_cols.size() doubles) of the
-/// cleaned matrix into `out`, reading from `rows`. Exactly the values pass 3
-/// of clean_matrix would have stored at that row; touches no obs counters,
-/// so streamed block fills may call it repeatedly without skewing the
-/// `filters.*` totals that the bit-identity tests compare.
-void fill_compact_row(const LatencyRows& rows, const FilteredMatrix& filtered,
-                      std::size_t compact_row, double* out);
-
 }  // namespace repro

@@ -110,45 +110,6 @@ struct LatencyMatrix {
   std::size_t row_count() const noexcept { return ips.size(); }
 };
 
-/// Read-only row-wise view of one ISP's latency matrix, decoupling the
-/// cleaning/clustering layers from where the bytes live: an in-memory
-/// LatencyMatrix (LatencyMatrixRows below) or a memory-mapped spill file
-/// (store::MappedLatencyMatrix), which is how paper-scale runs keep per-ISP
-/// matrices off the heap (docs/SCALING.md). Implementations must be safe
-/// for concurrent const access: the streamed pairwise pass reads rows from
-/// several pool workers at once.
-class LatencyRows {
- public:
-  virtual ~LatencyRows() = default;
-  virtual std::size_t row_count() const noexcept = 0;
-  virtual std::size_t vp_count() const noexcept = 0;
-  virtual Ipv4 ip(std::size_t row) const = 0;
-  virtual std::size_t server_index(std::size_t row) const = 0;
-  /// Pointer to the row's vp_count contiguous RTTs (NaN = failed probe).
-  virtual const double* row(std::size_t row) const = 0;
-};
-
-/// LatencyRows over an in-memory LatencyMatrix (non-owning).
-class LatencyMatrixRows final : public LatencyRows {
- public:
-  explicit LatencyMatrixRows(const LatencyMatrix& matrix) noexcept
-      : matrix_(&matrix) {}
-  std::size_t row_count() const noexcept override {
-    return matrix_->row_count();
-  }
-  std::size_t vp_count() const noexcept override { return matrix_->vp_count; }
-  Ipv4 ip(std::size_t row) const override { return matrix_->ips[row]; }
-  std::size_t server_index(std::size_t row) const override {
-    return matrix_->server_indices[row];
-  }
-  const double* row(std::size_t row) const override {
-    return matrix_->rtt.data() + row * matrix_->vp_count;
-  }
-
- private:
-  const LatencyMatrix* matrix_;
-};
-
 /// Simulates the M-Lab ping campaign.
 class PingMesh {
  public:

@@ -65,6 +65,34 @@ std::vector<AsIndex> ases_present_in_metro(const Internet& net, MetroIndex metro
   return out;
 }
 
+/// Hypergiant IXP ports sit in a block of this many slots above the
+/// member ports (hashed by AS index).
+constexpr std::uint64_t kHypergiantPortSlots = 800;
+
+/// First hypergiant port: .200, or just past the member ports on a fabric
+/// with more than 198 members (only the 10x world has those).
+std::uint64_t hypergiant_port_base_for(std::size_t members) {
+  return std::max<std::uint64_t>(200, 2 + members);
+}
+
+std::uint64_t hypergiant_port_base(const Internet& net, const Ixp& ixp) {
+  const auto members = static_cast<std::size_t>(
+      std::count_if(ixp.members.begin(), ixp.members.end(), [&](AsIndex ai) {
+        return net.ases[ai].tier != AsTier::kHypergiant;
+      }));
+  return hypergiant_port_base_for(members);
+}
+
+/// Peering-LAN length for a fabric with `members` member ports: a /22, or
+/// wider when the member and hypergiant ports outgrow it.
+int ixp_lan_length(std::size_t members) {
+  const std::uint64_t ports =
+      hypergiant_port_base_for(members) + kHypergiantPortSlots;
+  int length = 22;
+  while ((std::uint64_t{1} << (32 - length)) < ports) --length;
+  return length;
+}
+
 int slash24_count_for(double users, double users_per_slash24) {
   const double raw = std::ceil(users / users_per_slash24);
   const auto clamped = static_cast<int>(std::clamp(raw, 1.0, 256.0));
@@ -124,8 +152,13 @@ InternetGenerator::InternetGenerator(GeneratorConfig config)
 Internet InternetGenerator::generate() {
   Internet net;
   Rng rng(config_.seed);
-  // Global IPv4 plan: everything is carved out of 64.0.0.0/2.
-  PrefixAllocator pool(Prefix(Ipv4::parse("64.0.0.0"), 2));
+  // Global IPv4 plan: everything is carved out of 64.0.0.0/2. Only the 10x
+  // world outgrows it; its overflow continues in 128.0.0.0/2 and then
+  // 32.0.0.0/3, so every smaller world is numbered exactly as if those
+  // pools did not exist.
+  AddressPlan pool({Prefix(Ipv4::parse("64.0.0.0"), 2),
+                    Prefix(Ipv4::parse("128.0.0.0"), 2),
+                    Prefix(Ipv4::parse("32.0.0.0"), 3)});
 
   build_metros(net, rng);
   build_facilities(net, rng);
@@ -180,7 +213,7 @@ void InternetGenerator::build_facilities(Internet& net, Rng& rng) const {
 }
 
 void InternetGenerator::build_tier1s(Internet& net, Rng& rng,
-                                     PrefixAllocator& pool) const {
+                                     AddressPlan& pool) const {
   // Global metro ranking for backbone presence.
   std::vector<MetroIndex> ranked;
   ranked.reserve(net.metros.size());
@@ -234,7 +267,7 @@ void InternetGenerator::build_tier1s(Internet& net, Rng& rng,
 }
 
 void InternetGenerator::build_transits(Internet& net, Rng& rng,
-                                       PrefixAllocator& pool) const {
+                                       AddressPlan& pool) const {
   std::vector<AsIndex> tier1s;
   for (const auto& as : net.ases) {
     if (as.tier == AsTier::kTier1) tier1s.push_back(as.index);
@@ -299,7 +332,7 @@ void InternetGenerator::build_transits(Internet& net, Rng& rng,
 }
 
 void InternetGenerator::build_access_isps(Internet& net, Rng& rng,
-                                          PrefixAllocator& pool) const {
+                                          AddressPlan& pool) const {
   (void)rng;
   AsNumber next_asn = 200000;
   for (CountryIndex ci = 0; ci < all_countries().size(); ++ci) {
@@ -421,7 +454,7 @@ void InternetGenerator::build_access_isps(Internet& net, Rng& rng,
 }
 
 void InternetGenerator::build_ixps(Internet& net, Rng& rng,
-                                   PrefixAllocator& pool) const {
+                                   AddressPlan& pool) const {
   (void)rng;
   for (const auto& metro : net.metros) {
     if (metro.users < config_.ixp_metro_users_m * kMillion) continue;
@@ -429,11 +462,9 @@ void InternetGenerator::build_ixps(Internet& net, Rng& rng,
     ixp.name = "IX-" + metro.iata;
     ixp.metro = metro.index;
     ixp.facility = first_colo(net, metro.index);
-    ixp.peering_lan = pool.allocate_prefix(22);
     const IxpIndex ixp_index = net.add_ixp(std::move(ixp));
 
     Rng local = country_rng(config_.seed, net.metros[metro.index].name, /*salt=*/5);
-    std::uint64_t next_port = 2;
     for (const AsIndex ai : ases_present_in_metro(net, metro.index)) {
       const AsTier tier = net.ases[ai].tier;
       double join = 0.0;
@@ -444,9 +475,15 @@ void InternetGenerator::build_ixps(Internet& net, Rng& rng,
         case AsTier::kHypergiant: join = 0.0; break;  // added later
       }
       if (!local.chance(join)) continue;
-      auto& fabric = net.ixps[ixp_index];
-      fabric.members.push_back(ai);
-      net.register_ixp_port(fabric.peering_lan.at(next_port++), ixp_index, ai);
+      net.ixps[ixp_index].members.push_back(ai);
+    }
+    // Members number ports from .2 up, in join order.
+    auto& fabric = net.ixps[ixp_index];
+    fabric.peering_lan =
+        pool.allocate_prefix(ixp_lan_length(fabric.members.size()));
+    for (std::size_t port = 0; port < fabric.members.size(); ++port) {
+      net.register_ixp_port(fabric.peering_lan.at(2 + port), ixp_index,
+                            fabric.members[port]);
     }
 
     // Transit-transit public peering over the fabric.
@@ -476,7 +513,7 @@ void InternetGenerator::build_ixps(Internet& net, Rng& rng,
 }
 
 void InternetGenerator::build_hypergiants(Internet& net, Rng& rng,
-                                          PrefixAllocator& pool) const {
+                                          AddressPlan& pool) const {
   (void)rng;
   struct HgSpec {
     AsNumber asn;
@@ -579,8 +616,10 @@ void InternetGenerator::build_hypergiants(Internet& net, Rng& rng,
     for (auto& ixp : net.ixps) {
       if (net.metros[ixp.metro].users < 4e6) continue;
       if (!local.chance(0.9)) continue;
+      const std::uint64_t port =
+          hypergiant_port_base(net, ixp) + index % kHypergiantPortSlots;
       ixp.members.push_back(index);
-      net.register_ixp_port(ixp.peering_lan.at(200 + index % 800), ixp.index, index);
+      net.register_ixp_port(ixp.peering_lan.at(port), ixp.index, index);
       net.ases[index].metros.push_back(ixp.metro);
       for (const AsIndex member : ixp.members) {
         if (member == index) continue;

@@ -93,11 +93,11 @@ class InternetGenerator {
  private:
   void build_metros(Internet& net, Rng& rng) const;
   void build_facilities(Internet& net, Rng& rng) const;
-  void build_tier1s(Internet& net, Rng& rng, PrefixAllocator& pool) const;
-  void build_transits(Internet& net, Rng& rng, PrefixAllocator& pool) const;
-  void build_access_isps(Internet& net, Rng& rng, PrefixAllocator& pool) const;
-  void build_ixps(Internet& net, Rng& rng, PrefixAllocator& pool) const;
-  void build_hypergiants(Internet& net, Rng& rng, PrefixAllocator& pool) const;
+  void build_tier1s(Internet& net, Rng& rng, AddressPlan& pool) const;
+  void build_transits(Internet& net, Rng& rng, AddressPlan& pool) const;
+  void build_access_isps(Internet& net, Rng& rng, AddressPlan& pool) const;
+  void build_ixps(Internet& net, Rng& rng, AddressPlan& pool) const;
+  void build_hypergiants(Internet& net, Rng& rng, AddressPlan& pool) const;
   /// Re-sizes mid-hierarchy links (transit uplinks, hypergiant-transit
   /// PNIs, backbone mesh) to the peak demand of the customer cone beneath
   /// them -- static capacities would congest the moment the cone grows.

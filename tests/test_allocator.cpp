@@ -65,5 +65,30 @@ TEST(PrefixAllocator, WholePoolAllocation) {
   EXPECT_EQ(alloc.remaining(), 0u);
 }
 
+TEST(PrefixAllocator, FitsPredictsAllocation) {
+  PrefixAllocator alloc(Prefix::parse("10.0.0.0/30"));
+  EXPECT_FALSE(alloc.fits(29));
+  EXPECT_FALSE(alloc.fits(33));
+  EXPECT_TRUE(alloc.fits(30));
+  alloc.allocate_address();
+  EXPECT_FALSE(alloc.fits(30));  // the aligned /30 is no longer free
+  EXPECT_TRUE(alloc.fits(31));   // .2/31, skipping .1
+  EXPECT_TRUE(alloc.fits(32));
+  alloc.allocate_prefix(31);
+  EXPECT_FALSE(alloc.fits(32));
+  EXPECT_THROW(alloc.allocate_address(), Error);
+}
+
+TEST(AddressPlan, OverflowsIntoNextPoolOnlyWhenFull) {
+  AddressPlan plan({Prefix::parse("10.0.0.0/30"), Prefix::parse("20.0.0.0/29")});
+  EXPECT_EQ(plan.allocate_prefix(31).to_string(), "10.0.0.0/31");
+  // A /30 no longer fits the first pool: move on, and stay there even
+  // though the first pool still has room for a /31.
+  EXPECT_EQ(plan.allocate_prefix(30).to_string(), "20.0.0.0/30");
+  EXPECT_EQ(plan.allocate_prefix(31).to_string(), "20.0.0.4/31");
+  plan.allocate_prefix(31);
+  EXPECT_THROW(plan.allocate_prefix(32), Error);
+}
+
 }  // namespace
 }  // namespace repro

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -235,66 +234,6 @@ TEST(PairwiseDistances, AllLevelsBitIdenticalOnLargeTable) {
     for (std::size_t v = 0; v < flattened[0].size(); ++v) {
       ASSERT_EQ(flattened[k][v], flattened[0][v])
           << "level index " << k << " value " << v;
-    }
-  }
-}
-
-TEST(PairwiseDistancesStreamed, EveryBlockSizeMatchesOneShotAtEveryLevel) {
-  // The block-streamed pass visits cell (i, j) exactly once with the same
-  // kernel call the one-shot pass uses, so any block height -- degenerate
-  // single-row blocks, a prime that never divides the row count, blocks
-  // larger than the matrix, and 0 (whole matrix in one block) -- must
-  // reproduce pairwise_distances bit-for-bit at every dispatch level.
-  Rng rng(0x57ea);
-  for (const simd::SimdLevel level : reachable_levels()) {
-    LevelGuard guard(level);
-    for (const std::size_t rows : {3u, 17u, 40u}) {
-      for (const std::size_t cols : {5u, 40u, 163u}) {
-        const bool tie_heavy = cols % 2 == 0;
-        const auto table = random_table(rng, rows, cols, tie_heavy);
-        const DistanceMatrix oneshot =
-            pairwise_distances(table, rows, cols, 0.2);
-        const RowFiller fill = [&](std::size_t row, double* out) {
-          std::copy_n(table.data() + row * cols, cols, out);
-        };
-        for (const std::size_t block : {1u, 7u, 64u, 0u}) {
-          const DistanceMatrix streamed =
-              pairwise_distances_streamed(fill, rows, cols, 0.2, block);
-          for (std::size_t i = 0; i < rows; ++i) {
-            for (std::size_t j = i + 1; j < rows; ++j) {
-              ASSERT_EQ(streamed.at(i, j), oneshot.at(i, j))
-                  << simd::to_string(level) << " rows=" << rows
-                  << " cols=" << cols << " block=" << block << " (" << i
-                  << "," << j << ")";
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(PairwiseDistancesStreamed, FillerSeesEachBlockRowOnDemand) {
-  // The streamed pass may stage a row more than once (a row participates
-  // in every block pair that touches its block) but must always ask for
-  // whole valid rows; the filler is the only data source, so out-of-range
-  // requests would read garbage.
-  Rng rng(0xb10c);
-  const std::size_t rows = 11, cols = 8;
-  const auto table = random_table(rng, rows, cols, false);
-  std::vector<std::atomic<int>> requests(rows);
-  const RowFiller fill = [&](std::size_t row, double* out) {
-    ASSERT_LT(row, rows);
-    requests[row].fetch_add(1);
-    std::copy_n(table.data() + row * cols, cols, out);
-  };
-  const DistanceMatrix streamed =
-      pairwise_distances_streamed(fill, rows, cols, 0.2, 4);
-  const DistanceMatrix oneshot = pairwise_distances(table, rows, cols, 0.2);
-  for (std::size_t i = 0; i < rows; ++i) {
-    EXPECT_GE(requests[i].load(), 1) << "row " << i << " never staged";
-    for (std::size_t j = i + 1; j < rows; ++j) {
-      ASSERT_EQ(streamed.at(i, j), oneshot.at(i, j));
     }
   }
 }

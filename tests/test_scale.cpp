@@ -1,14 +1,11 @@
 // The scale fence (docs/SCALING.md): every way of spreading the clustering
-// stage across processes or memory substrates is bit-identical to the plain
-// single-process, in-memory pipeline.
+// stage across processes is bit-identical to the plain single-process
+// pipeline.
 //
 //   * k-shard compute+merge (k in {1, 2, 4, 7}) == single process, for a
 //     clean plan and for chaos(): clusterings, StageHealth, Table 1/2
 //     renders, and every run-report domain counter.
 //   * Shard-count invariance holds with the shared store warm or cold.
-//   * The streamed matrix substrate (spill to .mmx, mmap back,
-//     block-streamed pairwise distances) produces the same pipeline run as
-//     the in-memory substrate, for any block height.
 //
 // Workers here run in-process (fresh ArtifactStore handle per worker over
 // one shared root, metrics reset between phases) -- the same store-mediated
@@ -68,7 +65,7 @@ class ScaleTest : public ::testing::Test {
 };
 
 /// Domain counters only: store.* and pipeline.* describe the transport
-/// (hits, spills, shard bookkeeping), which legitimately differs between
+/// (hits, shard bookkeeping), which legitimately differs between
 /// process layouts; everything else must not.
 std::map<std::string, std::uint64_t> domain_counters() {
   std::map<std::string, std::uint64_t> out;
@@ -241,74 +238,6 @@ TEST_F(ShardModeTest, WarmStoreShardCountInvariance) {
   const PipelineRun warm7 = run_sharded(7, clean, "shared");
   expect_identical_runs(warm2, warm7, "warm k=2 vs warm k=7");
   expect_identical_outputs(cold, warm2, "cold k=4 vs warm k=2");
-}
-
-using StreamedSubstrateTest = ScaleTest;
-
-TEST_F(StreamedSubstrateTest, StreamedPipelineBitIdenticalToInMemory) {
-  // The streamed substrate spills each per-ISP matrix to an .mmx file,
-  // maps it back, and block-streams the pairwise pass; every output and
-  // domain counter must match the in-memory run, at any block height
-  // (1 = degenerate single-row blocks, 3 = partial tail, 0 = whole
-  // matrix in one block).
-  obs::metrics().reset();
-  Pipeline inmem(Scenario::tiny());
-  const PipelineRun baseline = collect(inmem);
-  ASSERT_FALSE(baseline.xi01.empty());
-
-  for (const std::size_t block_rows : {std::size_t{1}, std::size_t{3},
-                                       std::size_t{0}}) {
-    obs::metrics().reset();
-    Scenario scenario = Scenario::tiny();
-    scenario.stream_matrices = true;
-    scenario.stream_block_rows = block_rows;
-    Pipeline streamed(scenario);
-    expect_identical_runs(baseline, collect(streamed),
-                          "block_rows=" + std::to_string(block_rows));
-  }
-}
-
-TEST_F(StreamedSubstrateTest, StreamedSpillsPersistUnderStore) {
-  // With a writable store attached the spill directory lives under the
-  // store root and survives the pipeline; the rerun reuses the .mmx files
-  // (no respill) and still matches bit-exactly.
-  Scenario scenario = Scenario::tiny();
-  scenario.stream_matrices = true;
-
-  obs::metrics().reset();
-  Pipeline first(scenario, fault::FaultPlan::none(), open_store("store"));
-  const PipelineRun cold = collect(first);
-  const fs::path stream_dir = root_ / "store" / "stream";
-  ASSERT_TRUE(fs::exists(stream_dir));
-  std::size_t spills = 0;
-  for (const auto& entry : fs::directory_iterator(stream_dir)) {
-    if (entry.path().extension() == ".mmx") ++spills;
-  }
-  EXPECT_GT(spills, 0u);
-
-  // Drop the clustering artifacts so the rerun actually re-clusters -- now
-  // reading the persisted spills instead of measuring and respilling.
-  for (const auto& entry : fs::directory_iterator(root_ / "store")) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("clustering-v", 0) == 0) fs::remove(entry.path());
-  }
-
-  obs::metrics().reset();
-  Pipeline second(scenario, fault::FaultPlan::none(), open_store("store"));
-  const PipelineRun warm = collect(second);
-  // A warm run reports health only for the stages it actually replayed, so
-  // compare the result surfaces: clusterings and the rendered tables.
-  ASSERT_EQ(warm.xi01.size(), cold.xi01.size());
-  for (std::size_t i = 0; i < cold.xi01.size(); ++i) {
-    expect_identical(warm.xi01[i], cold.xi01[i],
-                     "streamed warm xi=0.1 #" + std::to_string(i));
-  }
-  for (std::size_t i = 0; i < cold.xi09.size(); ++i) {
-    expect_identical(warm.xi09[i], cold.xi09[i],
-                     "streamed warm xi=0.9 #" + std::to_string(i));
-  }
-  EXPECT_EQ(warm.table1, cold.table1);
-  EXPECT_EQ(warm.table2, cold.table2);
 }
 
 }  // namespace

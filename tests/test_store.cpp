@@ -29,7 +29,6 @@
 #include "core/pipeline.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
-#include "store/matrix_file.h"
 #include "store/serde.h"
 #include "topology/generator.h"
 #include "util/rng.h"
@@ -1034,218 +1033,6 @@ TEST_F(StoreTest, ChaosUnderConcurrentWarmPipelineReadersSelfHeals) {
   const PipelineOutputs healed = run_pipeline(clean, healed_store);
   expect_identical_outputs(reference, healed, "healed after chaos");
   EXPECT_EQ(healed_store->stats().corrupt, 0u);
-}
-
-// --- .mmx matrix spill files (store/matrix_file.h) -------------------------
-
-LatencyMatrix random_matrix(Rng& rng, std::size_t rows, std::size_t vps) {
-  LatencyMatrix matrix;
-  matrix.vp_count = vps;
-  for (std::size_t i = 0; i < rows; ++i) {
-    matrix.ips.push_back(Ipv4(static_cast<std::uint32_t>(rng.next())));
-    matrix.server_indices.push_back(rng.next() % 100000);
-  }
-  for (std::size_t i = 0; i < rows * vps; ++i) {
-    // Plain RTTs, NaN failure markers, both infinities and denormals: the
-    // spill must hand every bit pattern back unchanged.
-    const int kind = static_cast<int>(rng.uniform_int(0, 4));
-    double value = rng.uniform(0.1, 300.0);
-    if (kind == 1) value = std::numeric_limits<double>::quiet_NaN();
-    if (kind == 2) value = std::numeric_limits<double>::infinity();
-    if (kind == 3) value = -std::numeric_limits<double>::infinity();
-    if (kind == 4) value = std::numeric_limits<double>::denorm_min();
-    matrix.rtt.push_back(value);
-  }
-  return matrix;
-}
-
-TEST_F(StoreTest, MatrixFileRoundTripPreservesEveryBit) {
-  fs::create_directories(root_);
-  Rng rng(0x33a1);
-  for (int round = 0; round < 12; ++round) {
-    const std::size_t rows = static_cast<std::size_t>(rng.uniform_int(0, 12));
-    const std::size_t vps = static_cast<std::size_t>(rng.uniform_int(0, 8));
-    const LatencyMatrix matrix = random_matrix(rng, rows, vps);
-    const std::string path = (root_ / "spill.mmx").string();
-    store::write_matrix_file(path, matrix);
-    ASSERT_EQ(fs::file_size(path), store::matrix_file_size(rows, vps));
-
-    // The mmap view serves the exact written bits through every accessor...
-    const store::MappedLatencyMatrix mapped =
-        store::MappedLatencyMatrix::open(path);
-    ASSERT_EQ(mapped.row_count(), rows);
-    ASSERT_EQ(mapped.vp_count(), vps);
-    for (std::size_t i = 0; i < rows; ++i) {
-      EXPECT_EQ(mapped.ip(i), matrix.ips[i]) << "row " << i;
-      EXPECT_EQ(mapped.server_index(i), matrix.server_indices[i]) << "row " << i;
-      const double* row = mapped.row(i);
-      for (std::size_t j = 0; j < vps; ++j) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(row[j]),
-                  std::bit_cast<std::uint64_t>(matrix.rtt[i * vps + j]))
-            << "cell (" << i << "," << j << ")";
-      }
-    }
-    // ...and the full-load copy is ulp-exact too (mmap view == full load).
-    const LatencyMatrix copy = mapped.to_matrix();
-    EXPECT_EQ(copy.ips, matrix.ips);
-    EXPECT_EQ(copy.server_indices, matrix.server_indices);
-    EXPECT_EQ(copy.vp_count, matrix.vp_count);
-    ASSERT_EQ(copy.rtt.size(), matrix.rtt.size());
-    for (std::size_t i = 0; i < matrix.rtt.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(copy.rtt[i]),
-                std::bit_cast<std::uint64_t>(matrix.rtt[i]))
-          << "cell " << i;
-    }
-  }
-  // Publication is atomic temp+rename: only the spill itself remains (the
-  // loop above also proves rewriting over an existing spill works).
-  std::size_t files = 0;
-  for (const auto& entry : fs::directory_iterator(root_)) {
-    ++files;
-    EXPECT_EQ(entry.path().extension(), ".mmx") << entry.path();
-  }
-  EXPECT_EQ(files, 1u);
-}
-
-TEST_F(StoreTest, MatrixFileEveryTruncationAndByteFlipDetected) {
-  fs::create_directories(root_);
-  Rng rng(0x77);
-  const LatencyMatrix matrix = random_matrix(rng, 5, 4);
-  const std::string good = (root_ / "good.mmx").string();
-  store::write_matrix_file(good, matrix);
-  std::ifstream in(good, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_EQ(bytes.size(), store::matrix_file_size(5, 4));
-
-  const std::string victim = (root_ / "victim.mmx").string();
-  const auto rewrite = [&](const std::vector<char>& content) {
-    std::ofstream out(victim, std::ios::binary | std::ios::trunc);
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-  };
-
-  // Truncation at every cut, including the empty file: SerdeError, never a
-  // crash or a partially-served matrix.
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    rewrite(std::vector<char>(bytes.begin(),
-                              bytes.begin() + static_cast<std::ptrdiff_t>(cut)));
-    EXPECT_THROW(store::MappedLatencyMatrix::open(victim), store::SerdeError)
-        << "cut at " << cut;
-  }
-  // A flip of any single byte -- header, arrays, or the checksum itself --
-  // fails validation.
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::vector<char> flipped = bytes;
-    flipped[i] = static_cast<char>(flipped[i] ^ 0x40);
-    rewrite(flipped);
-    EXPECT_THROW(store::MappedLatencyMatrix::open(victim), store::SerdeError)
-        << "flip at " << i;
-  }
-  // Missing files are a miss, not an error, through open_if_exists.
-  fs::remove(victim);
-  EXPECT_FALSE(store::MappedLatencyMatrix::open_if_exists(victim).has_value());
-  // And the pristine spill still opens after all that.
-  EXPECT_EQ(store::MappedLatencyMatrix::open(good).row_count(), 5u);
-}
-
-TEST_F(StoreTest, MatrixFileReleaseRowsKeepsDataReadable) {
-  fs::create_directories(root_);
-  Rng rng(0x4e1e);
-  const LatencyMatrix matrix = random_matrix(rng, 64, 40);
-  const std::string path = (root_ / "big.mmx").string();
-  store::write_matrix_file(path, matrix);
-  const store::MappedLatencyMatrix mapped =
-      store::MappedLatencyMatrix::open(path);
-  // Touch everything, drop the middle from the resident set, then reread:
-  // released pages reload from disk with the same bits.
-  for (std::size_t i = 0; i < 64; ++i) (void)mapped.row(i)[0];
-  mapped.release_rows(8, 56);
-  mapped.release_rows(0, 64);
-  mapped.release_rows(10, 10);  // empty range: no-op
-  for (std::size_t i = 0; i < 64; ++i) {
-    const double* row = mapped.row(i);
-    for (std::size_t j = 0; j < 40; ++j) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(row[j]),
-                std::bit_cast<std::uint64_t>(matrix.rtt[i * 40 + j]))
-          << "cell (" << i << "," << j << ") after release";
-    }
-  }
-}
-
-TEST_F(StoreTest, CorruptSpillSelfHealsWithDegradedHealth) {
-  // A garbled .mmx spill behaves like any corrupt artifact: the streamed
-  // clustering recomputes (bit-identical outputs), flags the run degraded
-  // with a "store:" reason, republishes the spill, and the next run is
-  // clean.
-  Scenario scenario = Scenario::tiny();
-  scenario.stream_matrices = true;
-  const fault::FaultPlan plan = fault::FaultPlan::none();
-  const auto run = [&](std::shared_ptr<store::ArtifactStore> artifacts) {
-    Pipeline pipeline(scenario, plan, std::move(artifacts));
-    PipelineOutputs out;
-    out.scan = pipeline.scan_records(Snapshot::k2023);
-    out.xi01 = pipeline.clusterings(0.1);
-    out.xi09 = pipeline.clusterings(0.9);
-    out.health = pipeline.stage_health();
-    return out;
-  };
-
-  const PipelineOutputs reference = run(nullptr);
-  {
-    auto artifacts = std::make_shared<store::ArtifactStore>(config());
-    const PipelineOutputs cold = run(artifacts);
-    expect_identical_outputs(reference, cold, "streamed cold");
-  }
-  const fs::path stream_dir = root_ / "stream";
-  ASSERT_TRUE(fs::exists(stream_dir));
-
-  // Garble every spill (truncate one, flip a byte in the rest) and delete
-  // the clustering artifacts so the warm run actually consults them.
-  std::size_t garbled = 0;
-  for (const auto& entry : fs::directory_iterator(stream_dir)) {
-    if (entry.path().extension() != ".mmx") continue;
-    if (garbled == 0) {
-      fs::resize_file(entry.path(), fs::file_size(entry.path()) / 2);
-    } else {
-      corrupt_file(entry.path(), fs::file_size(entry.path()) - 9, 0x20);
-    }
-    ++garbled;
-  }
-  ASSERT_GT(garbled, 0u);
-  for (const auto& entry : fs::directory_iterator(root_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("clustering-v")) fs::remove(entry.path());
-  }
-
-  auto warm_store = std::make_shared<store::ArtifactStore>(config());
-  const PipelineOutputs warm = run(warm_store);
-  expect_identical_outputs(reference, warm, "recompute after spill garbling");
-  ASSERT_TRUE(warm.health.count("clustering"));
-  EXPECT_EQ(warm.health.at("clustering").status,
-            fault::StageStatus::kDegraded);
-  bool noted = false;
-  for (const std::string& reason : warm.health.at("clustering").reasons) {
-    if (reason.find("store:") != std::string::npos &&
-        reason.find("corrupt latency matrices") != std::string::npos) {
-      noted = true;
-    }
-  }
-  EXPECT_TRUE(noted) << "degraded reason must name the spill corruption";
-
-  // Self-heal: the spills were republished, so a clean-store rerun (minus
-  // the clustering artifacts again) finds them valid.
-  for (const auto& entry : fs::directory_iterator(root_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("clustering-v")) fs::remove(entry.path());
-  }
-  auto healed_store = std::make_shared<store::ArtifactStore>(config());
-  Pipeline healed_pipeline(scenario, plan, healed_store);
-  healed_pipeline.clusterings(0.1);
-  const auto healed_health = healed_pipeline.stage_health();
-  ASSERT_TRUE(healed_health.count("clustering"));
-  EXPECT_EQ(healed_health.at("clustering").status, fault::StageStatus::kOk);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace repro {
 namespace {
 
@@ -45,6 +47,13 @@ struct GlobCase {
   bool expected;
 };
 
+// Without a printer gtest shows a case as its raw bytes: two string addresses
+// (which move with every run under ASLR) and uninitialised padding, so the
+// test names CTest discovers would differ from build to build.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" vs \"" << c.text << '"';
+}
+
 class GlobMatchTest : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobMatchTest, Matches) {
@@ -77,6 +86,10 @@ struct TlsNameCase {
   const char* name;
   bool expected;
 };
+
+void PrintTo(const TlsNameCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" vs \"" << c.name << '"';
+}
 
 class TlsNameMatchTest : public ::testing::TestWithParam<TlsNameCase> {};
 

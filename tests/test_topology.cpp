@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string_view>
 
+#include "core/scenario.h"
+#include "store/serde.h"
 #include "topology/country.h"
 
 namespace repro {
@@ -253,6 +257,39 @@ TEST(PeakDemand, ScalesWithUsers) {
 TEST(GeneratorConfigPresets, ScalesOrdered) {
   EXPECT_LT(GeneratorConfig::tiny().scale, GeneratorConfig::small().scale);
   EXPECT_LT(GeneratorConfig::small().scale, GeneratorConfig::paper().scale);
+}
+
+TEST(GeneratorConfigPresets, EveryScalePresetGeneratesItsWorld) {
+  // Every advertised preset must generate. The 10x world outgrows the
+  // 64.0.0.0/2 address pool and its IXP fabrics outgrow a /22, so the
+  // smaller worlds are pinned to their encoded bytes: the overflow handling
+  // must leave them numbered exactly as before.
+  struct Case {
+    Scale scale;
+    std::uint64_t digest;  // FNV-1a over store::encode(world); 0 = unpinned
+  };
+  const Case cases[] = {{Scale::kTiny, 0x41450e5b61ef2dc9ULL},
+                        {Scale::kSmall, 0x89c14be8bf28685fULL},
+                        {Scale::kPaper, 0xf759edec1437c234ULL},
+                        {Scale::k10x, 0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(to_string(c.scale)));
+    const Internet net =
+        InternetGenerator(Scenario::at_scale(c.scale).topology).generate();
+    EXPECT_FALSE(net.access_isps().empty());
+    // Each IXP membership owns its own port address in the fabric's LAN.
+    std::size_t memberships = 0;
+    for (const Ixp& ixp : net.ixps) memberships += ixp.members.size();
+    EXPECT_EQ(net.ixp_ports().size(), memberships);
+    if (c.digest != 0) {
+      store::ByteWriter writer;
+      store::encode(writer, net);
+      const std::vector<std::uint8_t>& bytes = writer.bytes();
+      const std::string_view view(reinterpret_cast<const char*>(bytes.data()),
+                                  bytes.size());
+      EXPECT_EQ(store::Fnv1a().mix(view).digest(), c.digest);
+    }
+  }
 }
 
 }  // namespace
