@@ -5,10 +5,7 @@
 // points, Appendix-A filters, per-ISP OPTICS clustering.
 //
 // The BENCH json line records the clustering stage's wall time and thread
-// count. With REPRO_SPEEDUP=1 a second, serial (threads = 1) pipeline is run
-// as a baseline and the line gains clustering_serial_seconds /
-// clustering_speedup -- off by default because the extra run doubles the
-// harness cost and re-executes every stage counter.
+// count.
 #include "bench_common.h"
 #include "util/thread_pool.h"
 
@@ -45,30 +42,7 @@ int main() {
   std::snprintf(fields, sizeof(fields),
                 "\"clustering_seconds\":%.6f,\"clustering_threads\":%zu",
                 cluster_seconds, cluster_threads);
-  std::string extra = fields;
 
-  const char* speedup_env = std::getenv("REPRO_SPEEDUP");
-  if (speedup_env != nullptr && std::string(speedup_env) == "1" &&
-      cluster_threads > 1) {
-    set_default_thread_count(1);
-    Pipeline serial(scenario_from_env());
-    serial.hosting_isps_2023();
-    serial.ping_mesh();
-    const Stopwatch serial_watch;
-    serial.clusterings(0.1);
-    const double serial_seconds = serial_watch.seconds();
-    set_default_thread_count(0);
-    const double speedup =
-        cluster_seconds > 0.0 ? serial_seconds / cluster_seconds : 0.0;
-    std::printf("serial baseline: %.1f s (speedup %.2fx)\n", serial_seconds,
-                speedup);
-    std::snprintf(fields, sizeof(fields),
-                  ",\"clustering_serial_seconds\":%.6f,"
-                  "\"clustering_speedup\":%.3f",
-                  serial_seconds, speedup);
-    extra += fields;
-  }
-
-  print_footer("table2_colocation", watch, pipeline, extra);
+  print_footer("table2_colocation", watch, pipeline, fields);
   return 0;
 }

@@ -107,18 +107,13 @@ DistanceMatrix pairwise_distances(std::span<const double> table,
 
 /// Per-phase kernel timings for bench/perf_micro: median-free best-of-run
 /// ns per pair for the |a-b| fill, the select phase, and the ascending-sum
-/// reduce, at the active SIMD level. Both select strategies are timed each
-/// run: select_ns_op is the strategy actually in effect (REPRO_SELECT,
-/// default ranksel) and select_strategy names it; the per-strategy fields
-/// let the bench line name the measured winner.
+/// reduce, at the active SIMD level. The select phase is the rank-select
+/// program (cluster/select_program.h).
 struct KernelPhaseProfile {
   std::string simd_level;
-  std::string select_strategy;
   double diff_ns_op = 0.0;
   double select_ns_op = 0.0;
   double sum_ns_op = 0.0;
-  double select_ranksel_ns_op = 0.0;
-  double select_network_ns_op = 0.0;
 };
 
 /// Times each kernel phase over `iterations` batched invocations on a

@@ -23,6 +23,21 @@ double hash_uniform(std::uint64_t key) noexcept {
   return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
 }
 
+/// `member`'s registered port on the peering LAN of IXP link `link`: the
+/// lowest LAN offset (from 2) whose port belongs to it, else offset 2.
+Ipv4 ixp_member_port(const Internet& internet, const InterdomainLink& link,
+                     AsIndex member) {
+  const Ixp& ixp = internet.ixps[link.ixp];
+  for (std::uint64_t offset = 2; offset < ixp.peering_lan.size(); ++offset) {
+    const Ipv4 address = ixp.peering_lan.at(offset);
+    const auto info = internet.ixp_port_of_ip(address);
+    if (info && info->ixp == link.ixp && info->member == member) {
+      return address;
+    }
+  }
+  return ixp.peering_lan.at(2);
+}
+
 }  // namespace
 
 TracerouteEngine::TracerouteEngine(const Internet& internet,
@@ -88,9 +103,11 @@ Traceroute TracerouteEngine::trace(AsIndex src, Ipv4 destination,
         1 + mix64(mix64(config_.seed ^ 0x77) ^ mix64(as)) % 3;
     for (std::uint64_t k = 0; k < intra; ++k) {
       // Skip the source AS's ingress (the probe starts inside it) and give
-      // each position a stable interface slot.
+      // each position a stable interface slot. The hash grouping is pinned
+      // by the peering digests; keep it.
       if (i == 0 && k == 0) continue;
-      push_router(as, router_ip(as, mix64(as * 131ULL + k ^ mix64(flow)) % 199));
+      push_router(as,
+                  router_ip(as, mix64((as * 131ULL + k) ^ mix64(flow)) % 199));
     }
 
     if (i + 1 >= as_path.size()) break;
@@ -110,17 +127,7 @@ Traceroute TracerouteEngine::trace(AsIndex src, Ipv4 destination,
     const InterdomainLink& link = internet_.links[via];
     if (link.kind == LinkKind::kIxpPeering) {
       // The next hop is the neighbor's port on the IXP peering LAN.
-      const Ixp& ixp = internet_.ixps[link.ixp];
-      Ipv4 port_address = ixp.peering_lan.at(2);  // fallback
-      // Find the registered port of `next` on this fabric.
-      for (std::uint64_t offset = 2; offset < ixp.peering_lan.size(); ++offset) {
-        const auto info = internet_.ixp_port_of_ip(ixp.peering_lan.at(offset));
-        if (info && info->ixp == link.ixp && info->member == next) {
-          port_address = ixp.peering_lan.at(offset);
-          break;
-        }
-      }
-      push_router(next, port_address);
+      push_router(next, ixp_member_port(internet_, link, next));
     } else {
       // PNI / transit handoff: the neighbor's border interface.
       push_router(next, router_ip(next, mix64(next * 131ULL ^ mix64(flow)) % 199));
@@ -166,8 +173,10 @@ Traceroute TracerouteEngine::trace_flapped(AsIndex src, Ipv4 destination,
         1 + mix64(mix64(config_.seed ^ 0x77) ^ mix64(current)) % 3;
     for (std::uint64_t k = 0; k < intra; ++k) {
       if (visited == 0 && k == 0) continue;
+      // Same grouping as trace(), pinned by the peering digests.
       push_router(current,
-                  router_ip(current, mix64(current * 131ULL + k ^ mix64(flow)) % 199));
+                  router_ip(current,
+                            mix64((current * 131ULL + k) ^ mix64(flow)) % 199));
     }
 
     if (current == table.destination()) {
@@ -217,16 +226,7 @@ Traceroute TracerouteEngine::trace_flapped(AsIndex src, Ipv4 destination,
     }
     const InterdomainLink& link = internet_.links[via];
     if (link.kind == LinkKind::kIxpPeering) {
-      const Ixp& ixp = internet_.ixps[link.ixp];
-      Ipv4 port_address = ixp.peering_lan.at(2);  // fallback
-      for (std::uint64_t offset = 2; offset < ixp.peering_lan.size(); ++offset) {
-        const auto info = internet_.ixp_port_of_ip(ixp.peering_lan.at(offset));
-        if (info && info->ixp == link.ixp && info->member == next) {
-          port_address = ixp.peering_lan.at(offset);
-          break;
-        }
-      }
-      push_router(next, port_address);
+      push_router(next, ixp_member_port(internet_, link, next));
     } else {
       push_router(next, router_ip(next, mix64(next * 131ULL ^ mix64(flow)) % 199));
     }
