@@ -227,12 +227,12 @@ int main(int argc, char** argv) {
         speedup_meaningful && parallel > 0.0 ? serial / parallel : 0.0;
     // Per-phase cost of the SIMD kernel at the paper's vector length (163
     // vantage points, 20% trim): |a-b| fill vs select vs ascending-sum
-    // reduce, ns per pair at the dispatched level.
+    // reduce, ns per pair at the dispatched level, best of 3 passes.
     const KernelPhaseProfile phases = profile_kernel_phases(cols, 0.2, 2000);
     // Cost of one xi re-extraction sweep over a warm 256-point ordering:
     // the resident report service re-extracts per (ISP, xi) query, so this
     // is the serial path the OPTICS scratch-reuse work targets. Best of 5
-    // batches, like the kernel phases.
+    // batches; the kernel phases take the best of 3 passes.
     const DistanceMatrix blob_matrix = random_blobs(256, 4);
     OpticsResult optics_base;
     optics_order(blob_matrix, 2, optics_base);

@@ -105,9 +105,9 @@ DistanceMatrix pairwise_distances(std::span<const double> table,
                                   std::size_t rows, std::size_t cols,
                                   double trim_fraction = 0.2);
 
-/// Per-phase kernel timings for bench/perf_micro: median-free best-of-run
-/// ns per pair for the |a-b| fill, the select phase, and the ascending-sum
-/// reduce, at the active SIMD level. The select phase is the rank-select
+/// Per-phase kernel timings for bench/perf_micro: best-of-3 ns per pair
+/// for the |a-b| fill, the select phase, and the ascending-sum reduce, at
+/// the active SIMD level. The select phase is the rank-select
 /// program (cluster/select_program.h).
 struct KernelPhaseProfile {
   std::string simd_level;
@@ -116,9 +116,9 @@ struct KernelPhaseProfile {
   double sum_ns_op = 0.0;
 };
 
-/// Times each kernel phase over `iterations` batched invocations on a
-/// deterministic pseudo-random vector pair of length n. Requires n >= 1,
-/// 0 <= trim_fraction < 1, iterations >= 1.
+/// Times each kernel phase as the fastest of three passes of `iterations`
+/// batched invocations each, on a deterministic pseudo-random vector pair
+/// of length n. Requires n >= 1, 0 <= trim_fraction < 1, iterations >= 1.
 KernelPhaseProfile profile_kernel_phases(std::size_t n, double trim_fraction,
                                          std::size_t iterations);
 

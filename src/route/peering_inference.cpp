@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace repro {
 
@@ -120,49 +121,62 @@ std::map<AsIndex, IspPeeringEvidence> PeeringStudy::run(
   static obs::CachedCounter probes_counter("route.traceroutes");
   static obs::CachedCounter unstable_counter("route.unstable_targets");
   static obs::CachedCounter downgrade_counter("route.peer_downgrades");
-  PeeringStudyOutcome local;
-  // One clock for the whole campaign: consecutive probes land in adjacent
-  // flap epochs, so the same destination is revisited under evolving
-  // routing state. Clean engines ignore the clock entirely.
-  std::uint64_t probe_time = 0;
-  std::map<AsIndex, IspPeeringEvidence> results;
-  for (const AsIndex target : targets) {
-    const RoutingTable table = routing.routes_to(target);
-    IspPeeringEvidence aggregate;
-    aggregate.isp = target;
 
+  // Serial pre-pass. Destination addresses: one per announced /24,
+  // round-robin over the ISP's user prefixes, capped by config. Target t's
+  // destinations are destinations[first[t], first[t + 1]).
+  std::vector<Ipv4> destinations;
+  std::vector<std::size_t> first;
+  first.reserve(targets.size() + 1);
+  for (const AsIndex target : targets) {
+    first.push_back(destinations.size());
     const As& as = internet_.ases[target];
-    // Destination addresses: one per announced /24, round-robin over the
-    // ISP's user prefixes, capped by config.
-    std::vector<Ipv4> destinations;
+    std::size_t count = 0;
     for (const Prefix& prefix : as.user_prefixes) {
       const std::uint64_t slash24s = prefix.size() / 256;
       for (std::uint64_t s = 0;
-           s < slash24s && destinations.size() < config_.slash24s_per_target;
-           ++s) {
+           s < slash24s && count < config_.slash24s_per_target; ++s, ++count) {
         destinations.push_back(prefix.at(s * 256 + 1));
       }
     }
-    if (destinations.empty() && !as.user_prefixes.empty()) {
-      destinations.push_back(as.user_prefixes.front().at(1));
+    if (count == 0) {
+      destinations.push_back(as.user_prefixes.empty()
+                                 ? as.infra.pool().at(255)
+                                 : as.user_prefixes.front().at(1));
     }
-    if (destinations.empty()) {
-      destinations.push_back(as.infra.pool().at(255));
-    }
+  }
+  first.push_back(destinations.size());
+
+  // One clock for the whole campaign: consecutive probes land in adjacent
+  // flap epochs, so the same destination is revisited under evolving
+  // routing state. Clean engines ignore the clock entirely. Targets issue
+  // vm_count probes per destination in target order, so target t's first
+  // probe time is the prefix sum vm_count * first[t] -- each target can
+  // run on its own thread and still number its probes exactly as the
+  // serial campaign did, which keeps flap-plan runs bit-identical at every
+  // thread count.
+  std::vector<IspPeeringEvidence> evidence(targets.size());
+  parallel_for(targets.size(), [&](std::size_t t) {
+    const AsIndex target = targets[t];
+    const RoutingTable table = routing.routes_to(target);
+    const std::span<const Ipv4> dests(destinations.data() + first[t],
+                                      first[t + 1] - first[t]);
+    std::uint64_t probe_time = config_.vm_count * first[t];
+    IspPeeringEvidence& aggregate = evidence[t];
+    aggregate.isp = target;
 
     // Per-destination path signature from *observations only* (hop count +
     // whether the destination answered). Under stable routing every probe
     // to one destination agrees on both regardless of VM/flow; disagreement
     // means the path itself changed under the study.
     std::vector<std::pair<std::size_t, bool>> first_signature(
-        destinations.size(), {0, false});
-    std::vector<bool> signature_seen(destinations.size(), false);
+        dests.size(), {0, false});
+    std::vector<bool> signature_seen(dests.size(), false);
 
     for (std::size_t vm = 0; vm < config_.vm_count; ++vm) {
-      for (std::size_t d = 0; d < destinations.size(); ++d) {
-        const Ipv4 destination = destinations[d];
+      for (std::size_t d = 0; d < dests.size(); ++d) {
         const Traceroute traceroute =
-            engine_.trace(hg_as, destination, table,
+            engine_.trace(hg_as, dests[d], table,
                           mix64(config_.seed ^ (vm + 1)), probe_time++);
         const IspPeeringEvidence one =
             classify_traceroute(traceroute, hg_as, target);
@@ -185,6 +199,12 @@ std::map<AsIndex, IspPeeringEvidence> PeeringStudy::run(
         }
       }
     }
+  });
+
+  // Serial merge in target order.
+  PeeringStudyOutcome local;
+  std::map<AsIndex, IspPeeringEvidence> results;
+  for (IspPeeringEvidence& aggregate : evidence) {
     if (aggregate.unstable) {
       ++local.unstable_targets;
       if (aggregate.status == PeeringStatus::kPeer) {
@@ -192,10 +212,10 @@ std::map<AsIndex, IspPeeringEvidence> PeeringStudy::run(
         ++local.downgraded_peers;
       }
     }
-    results.emplace(target, aggregate);
+    results.emplace(aggregate.isp, aggregate);
   }
   local.targets = targets.size();
-  local.probes = probe_time;
+  local.probes = config_.vm_count * destinations.size();
   probes_counter.add(local.probes);
   unstable_counter.add(local.unstable_targets);
   downgrade_counter.add(local.downgraded_peers);

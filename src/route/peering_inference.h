@@ -72,6 +72,9 @@ class PeeringStudy {
   /// Probes are issued on a campaign timeline (probe_time ticks once per
   /// traceroute) so routing faults that evolve during the study surface as
   /// per-destination path disagreement; stable paths are unaffected.
+  /// Targets fan out over the thread pool (default_thread_count()); each
+  /// target's probe times are a prefix sum over the targets before it, so
+  /// the result is identical at every thread count.
   std::map<AsIndex, IspPeeringEvidence> run(
       AsIndex hg_as, std::span<const AsIndex> targets,
       const RoutingEngine& routing,

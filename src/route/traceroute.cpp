@@ -23,26 +23,35 @@ double hash_uniform(std::uint64_t key) noexcept {
   return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
 }
 
-/// `member`'s registered port on the peering LAN of IXP link `link`: the
-/// lowest LAN offset (from 2) whose port belongs to it, else offset 2.
-Ipv4 ixp_member_port(const Internet& internet, const InterdomainLink& link,
-                     AsIndex member) {
-  const Ixp& ixp = internet.ixps[link.ixp];
-  for (std::uint64_t offset = 2; offset < ixp.peering_lan.size(); ++offset) {
-    const Ipv4 address = ixp.peering_lan.at(offset);
-    const auto info = internet.ixp_port_of_ip(address);
-    if (info && info->ixp == link.ixp && info->member == member) {
-      return address;
-    }
-  }
-  return ixp.peering_lan.at(2);
+std::uint64_t ixp_member_key(IxpIndex ixp, AsIndex member) noexcept {
+  return (std::uint64_t{ixp} << 32) | member;
 }
 
 }  // namespace
 
 TracerouteEngine::TracerouteEngine(const Internet& internet,
                                    TracerouteConfig config)
-    : internet_(internet), config_(config) {}
+    : internet_(internet), config_(config) {
+  // Each member's lowest-offset port (from offset 2) on the IXP's own
+  // peering LAN; trace() shares the finished map read-only across threads.
+  for (const auto& [address, info] : internet.ixp_ports()) {
+    const Prefix& lan = internet.ixps[info.ixp].peering_lan;
+    if (!lan.contains(address) ||
+        address.value() - lan.network().value() < 2) {
+      continue;
+    }
+    const auto [it, inserted] =
+        ixp_member_ports_.emplace(ixp_member_key(info.ixp, info.member), address);
+    if (!inserted && address < it->second) it->second = address;
+  }
+}
+
+Ipv4 TracerouteEngine::ixp_member_port(const InterdomainLink& link,
+                                       AsIndex member) const {
+  const auto it = ixp_member_ports_.find(ixp_member_key(link.ixp, member));
+  if (it != ixp_member_ports_.end()) return it->second;
+  return internet_.ixps[link.ixp].peering_lan.at(2);
+}
 
 Ipv4 TracerouteEngine::router_ip(AsIndex as, std::uint64_t slot) const {
   require(as < internet_.ases.size(), "router_ip: bad AS index");
@@ -127,7 +136,7 @@ Traceroute TracerouteEngine::trace(AsIndex src, Ipv4 destination,
     const InterdomainLink& link = internet_.links[via];
     if (link.kind == LinkKind::kIxpPeering) {
       // The next hop is the neighbor's port on the IXP peering LAN.
-      push_router(next, ixp_member_port(internet_, link, next));
+      push_router(next, ixp_member_port(link, next));
     } else {
       // PNI / transit handoff: the neighbor's border interface.
       push_router(next, router_ip(next, mix64(next * 131ULL ^ mix64(flow)) % 199));
@@ -226,7 +235,7 @@ Traceroute TracerouteEngine::trace_flapped(AsIndex src, Ipv4 destination,
     }
     const InterdomainLink& link = internet_.links[via];
     if (link.kind == LinkKind::kIxpPeering) {
-      push_router(next, ixp_member_port(internet_, link, next));
+      push_router(next, ixp_member_port(link, next));
     } else {
       push_router(next, router_ip(next, mix64(next * 131ULL ^ mix64(flow)) % 199));
     }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "route/bgp.h"
@@ -89,8 +90,14 @@ class TracerouteEngine {
                            const RoutingTable& table, std::uint64_t flow,
                            std::uint64_t probe_time) const;
 
+  /// `member`'s registered port on the peering LAN of IXP link `link`: the
+  /// lowest LAN offset (from 2) whose port belongs to it, else offset 2.
+  Ipv4 ixp_member_port(const InterdomainLink& link, AsIndex member) const;
+
   const Internet& internet_;
   TracerouteConfig config_;
+  /// (ixp << 32 | member) -> lowest-offset port, built once at construction.
+  std::unordered_map<std::uint64_t, Ipv4> ixp_member_ports_;
 };
 
 }  // namespace repro

@@ -2,8 +2,9 @@
 // count, parallel execution is bit-identical to serial -- the thread pool
 // only changes which thread runs each index range, never what is computed.
 // Covers the pool/parallel_for primitives, the vectorized pairwise-distance
-// kernel, cluster_isp_multi, and the full Pipeline clustering stage (clean
-// and under a nonzero FaultPlan), plus thread-count invariance of every
+// kernel, cluster_isp_multi, the full Pipeline clustering stage (clean
+// and under a nonzero FaultPlan), and the Section 4.2.1 peering campaign
+// (clean and under BGP flaps), plus thread-count invariance of every
 // run-report counter. Runs under ThreadSanitizer in scripts/check.sh
 // (ctest -L parallel).
 #include "util/thread_pool.h"
@@ -21,8 +22,10 @@
 #include "cluster/distance.h"
 #include "core/pipeline.h"
 #include "fault/fault_plan.h"
+#include "fault/injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "route/peering_inference.h"
 #include "topology/generator.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -288,6 +291,89 @@ TEST_F(ParallelTest, PipelineClusteringBitIdenticalUnderFaults) {
   ASSERT_FALSE(serial.xi01.empty());
   const PipelineRun parallel = run_pipeline(8, plan);
   expect_identical_runs(serial, parallel, "chaos@0.5 threads=8");
+}
+
+struct PeeringRun {
+  std::map<AsIndex, IspPeeringEvidence> evidence;
+  PeeringStudyOutcome outcome;
+  std::uint64_t traceroutes = 0;  // route.traceroutes counter delta
+};
+
+PeeringRun run_peering(const PeeringStudy& study, AsIndex hg_as,
+                       const std::vector<AsIndex>& targets,
+                       const RoutingEngine& routing, std::size_t threads) {
+  set_default_thread_count(threads);
+  const std::uint64_t before =
+      obs::metrics().counter("route.traceroutes").value();
+  PeeringRun run;
+  run.evidence = study.run(hg_as, targets, routing, &run.outcome);
+  run.traceroutes =
+      obs::metrics().counter("route.traceroutes").value() - before;
+  set_default_thread_count(0);
+  return run;
+}
+
+void expect_identical_peering(const PeeringRun& serial, const PeeringRun& other,
+                              const std::string& context) {
+  ASSERT_EQ(other.evidence.size(), serial.evidence.size()) << context;
+  for (const auto& [isp, expected] : serial.evidence) {
+    const auto it = other.evidence.find(isp);
+    ASSERT_NE(it, other.evidence.end()) << context << " isp " << isp;
+    const IspPeeringEvidence& got = it->second;
+    const std::string where = context + " isp " + std::to_string(isp);
+    EXPECT_EQ(got.isp, expected.isp) << where;
+    EXPECT_EQ(got.status, expected.status) << where;
+    EXPECT_EQ(got.seen_via_ixp, expected.seen_via_ixp) << where;
+    EXPECT_EQ(got.seen_via_pni, expected.seen_via_pni) << where;
+    EXPECT_EQ(got.traceroutes, expected.traceroutes) << where;
+    EXPECT_EQ(got.unstable, expected.unstable) << where;
+  }
+  EXPECT_EQ(other.outcome.targets, serial.outcome.targets) << context;
+  EXPECT_EQ(other.outcome.probes, serial.outcome.probes) << context;
+  EXPECT_EQ(other.outcome.unstable_targets, serial.outcome.unstable_targets)
+      << context;
+  EXPECT_EQ(other.outcome.downgraded_peers, serial.outcome.downgraded_peers)
+      << context;
+  EXPECT_EQ(other.traceroutes, serial.traceroutes) << context;
+}
+
+TEST_F(ParallelTest, PeeringStudyBitIdenticalAcrossThreadCounts) {
+  // Every probe keeps its campaign time whichever thread issues it, so a
+  // BGP-flap plan, where the time picks the routing state, must match too.
+  const Internet net = InternetGenerator(GeneratorConfig::tiny()).generate();
+  const RoutingEngine routing(net);
+  const IxpRegistry registry = IxpRegistry::build(net, IxpRegistryConfig{});
+  const AsIndex google = net.as_by_asn(kGoogleAsn);
+  const std::vector<AsIndex> targets = net.access_isps();
+  ASSERT_GT(targets.size(), 8u);
+  PeeringStudyConfig study_config;
+  study_config.vm_count = 4;
+  study_config.slash24s_per_target = 2;
+
+  fault::FaultPlan flap = fault::FaultPlan::none();
+  flap.route.flap_rate = 0.5;
+  flap.route.flap_period = 2;
+  for (const fault::FaultPlan& plan : {fault::FaultPlan::none(), flap}) {
+    TracerouteConfig config;
+    fault::apply_route_faults(config, plan);
+    const TracerouteEngine engine(net, config);
+    const PeeringStudy study(net, engine, registry, study_config);
+    const std::string name = plan.route.flap_rate > 0.0 ? "flap" : "clean";
+    const PeeringRun serial = run_peering(study, google, targets, routing, 1);
+    EXPECT_EQ(serial.outcome.targets, targets.size());
+    EXPECT_GT(serial.traceroutes, 0u);
+    if (plan.route.flap_rate > 0.0) {
+      EXPECT_GT(serial.outcome.unstable_targets, 0u)
+          << "flap plan surfaced no instability; the check would be vacuous";
+    } else {
+      EXPECT_EQ(serial.outcome.unstable_targets, 0u);
+    }
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      expect_identical_peering(
+          serial, run_peering(study, google, targets, routing, threads),
+          name + " threads=" + std::to_string(threads));
+    }
+  }
 }
 
 TEST_F(ParallelTest, ClusteringSpansStitchUnderPipelineStage) {
