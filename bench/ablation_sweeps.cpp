@@ -21,12 +21,6 @@
 namespace repro::bench {
 namespace {
 
-Scenario ablation_scenario() {
-  const char* scale = std::getenv("REPRO_SCALE");
-  if (scale == nullptr) return Scenario::small();
-  return scenario_from_env();
-}
-
 /// Fraction of ISPs fully colocated (all of any hypergiant's offnets in a
 /// cluster with another hypergiant) and cluster/facility purity at one xi.
 struct ClusterQuality {
@@ -208,7 +202,7 @@ int main() {
   const Stopwatch watch;
   print_header("Ablations -- sensitivity of the reproduction's conclusions");
 
-  const Scenario scenario = ablation_scenario();
+  const Scenario scenario = scenario_from_env(Scale::kSmall);
   Pipeline pipeline(scenario);
   sweep_xi(pipeline);
   sweep_trim(pipeline);

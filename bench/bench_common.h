@@ -32,20 +32,6 @@
 
 namespace repro::bench {
 
-/// Scenario from the REPRO_SCALE environment variable: any spelling
-/// parse_scale accepts ("tiny", "small", "paper", "10x"); "paper" when
-/// unset or unrecognized.
-inline Scenario scenario_from_env() {
-  const char* scale = std::getenv("REPRO_SCALE");
-  if (scale != nullptr) {
-    if (const auto parsed = parse_scale(scale); parsed.has_value()) {
-      return Scenario::at_scale(*parsed);
-    }
-    std::fprintf(stderr, "unknown REPRO_SCALE '%s', using paper\n", scale);
-  }
-  return Scenario::paper();
-}
-
 inline const char* scale_name() {
   const char* scale = std::getenv("REPRO_SCALE");
   return scale == nullptr ? "paper" : scale;

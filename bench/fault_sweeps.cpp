@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
                           ? "Fault sweeps: conclusion drift per pathology"
                           : "Fault sweeps: conclusion drift vs. fault intensity");
 
-  const Scenario scenario = bench::scenario_from_env();
+  const Scenario scenario = scenario_from_env();
   const double xis[] = {0.1, 0.9};
 
   // Every sweep point shares one artifact store, so the warm topology

@@ -72,7 +72,7 @@ int main() {
   bench::Stopwatch total;
   bench::print_header("Warm start: artifact-store cold vs. warm pipeline");
 
-  const Scenario scenario = bench::scenario_from_env();
+  const Scenario scenario = scenario_from_env();
   const char* dir = std::getenv("REPRO_BENCH_OUT");
   const fs::path root =
       fs::path(dir == nullptr ? "bench_output" : dir) / "warm_start.store";

@@ -23,13 +23,7 @@ int main() {
 
   if (std::getenv("REPRO_TRACE") == nullptr) obs::set_tracing(true);
 
-  Scenario scenario = Scenario::paper();
-  const char* scale = std::getenv("REPRO_SCALE");
-  if (scale != nullptr) {
-    const std::string value = scale;
-    if (value == "tiny") scenario = Scenario::tiny();
-    else if (value == "small") scenario = Scenario::small();
-  }
+  const Scenario scenario = scenario_from_env();
 
   fault::FaultPlan plan = fault::FaultPlan::from_env();
   if (!plan.active()) plan = fault::FaultPlan::chaos();

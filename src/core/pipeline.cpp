@@ -58,19 +58,17 @@ void note_store_corruption(fault::StageHealth& health, const std::string& detail
 
 /// The xi batch clusterings() computes together: the paper's two standard
 /// settings share one OPTICS ordering; an unusual xi is computed alone.
-/// Shard workers and the merge derive the identical batch independently.
 std::vector<double> xi_batch(double xi) {
   if (xi == 0.1 || xi == 0.9) return {0.1, 0.9};
   return {xi};
 }
 
-/// Counters that must not ride a shard artifact into the parent: store
-/// traffic and pipeline cache bookkeeping are per-process facts, while the
-/// domain counters (cluster.*, filters.*, ...) sum linearly over ISPs and
-/// replay exactly (docs/SCALING.md).
-bool shard_local_counter(const std::string& name) {
-  return name.rfind("store.", 0) == 0 || name.rfind("pipeline.", 0) == 0;
-}
+/// Outcome slot of one ISP's clustering fan-out task.
+struct IspOutcome {
+  std::vector<IspClustering> per_xi;
+  bool failed = false;
+  std::string error;
+};
 
 }  // namespace
 
@@ -485,8 +483,120 @@ const std::vector<IspClustering>& Pipeline::clusterings(double xi) const {
   }
 
   const std::vector<AsIndex> isps = hosting_isps_2023();
-  ClusterFanout fanout = cluster_isps(isps, xis);
-  return merge_isp_outcomes(isps, xis, std::move(fanout), corruption, key);
+  ColocationConfig config;
+  config.filter = scenario_.filter;
+  const OffnetRegistry& reg = registry(Snapshot::k2023);
+  const PingMesh& mesh = ping_mesh();
+  const ColocationClusterer clusterer(reg, mesh, vantage_points(), config);
+
+  // Fan the per-ISP clustering across the thread pool. Each ISP's outcome
+  // lands in its own preallocated slot, and the health/result merge walks
+  // the slots in ISP order on one thread, so results, health records and
+  // counters are bit-identical to the serial loop for any thread count.
+  std::vector<IspOutcome> outcomes(isps.size());
+  const std::size_t threads =
+      std::min(default_thread_count(), std::max<std::size_t>(isps.size(), 1));
+  obs::metrics().gauge("cluster.threads").set(static_cast<double>(threads));
+  obs::metrics().gauge("cluster.tasks").set(static_cast<double>(isps.size()));
+  const std::size_t block =
+      std::max<std::size_t>(1, isps.size() / (threads * 4));
+  // Per-ISP latency matrices are the expensive xi-independent half of the
+  // clustering stage, so workers consult/publish them individually; the
+  // store serializes internally, keeping the fan-out data-race free (the
+  // TSan tier of scripts/check.sh covers this path). fetch_isp_matrix goes
+  // through the attached store when present (single-flight, self-healing),
+  // else measures directly; it is lock-free so pool workers can call it
+  // while the fan-out caller holds the stage mutex.
+  std::atomic<std::uint64_t> corrupt_matrices{0};
+
+  parallel_for_blocks(
+      isps.size(), block,
+      [&](std::size_t begin, std::size_t end) {
+        // Shard-level aggregation: each worker's contiguous run of ISPs is
+        // one sample of cluster.shard_ms, next to the per-ISP wall times.
+        // The spans ride the task-context propagation in the pool, so they
+        // render under pipeline.clustering in the exported trace instead of
+        // as orphan roots.
+        obs::ScopedSpan shard_span("cluster.shard");
+        obs::ScopedTimer shard_timer("cluster.shard_ms");
+        for (std::size_t i = begin; i < end; ++i) {
+          obs::ScopedSpan isp_span("cluster.isp");
+          obs::ScopedTimer timer("cluster.isp_wall_ms");
+          IspOutcome& out = outcomes[i];
+          try {
+            out.per_xi = clusterer.cluster_isp_multi(
+                isps[i], xis,
+                fetch_isp_matrix(reg, mesh, isps[i], corrupt_matrices));
+          } catch (const Error& error) {
+            // Quality gate: one pathological ISP matrix must not abort the
+            // other few thousand -- keep an unusable placeholder, move on.
+            out.failed = true;
+            out.error = error.what();
+            IspClustering placeholder;
+            placeholder.isp = isps[i];
+            out.per_xi.assign(xis.size(), placeholder);
+          }
+          obs::metrics().counter("cluster.isps_clustered").add(1);
+        }
+      },
+      threads);
+
+  // Deterministic, ISP-ordered merge on the calling thread.
+  fault::StageHealth health;
+  std::uint64_t failed_isps = 0;
+  std::vector<std::vector<IspClustering>> results(xis.size());
+  std::map<AsIndex, std::size_t> index;
+  for (std::size_t i = 0; i < isps.size(); ++i) {
+    index.emplace(isps[i], results.front().size());
+    ++health.total;
+    IspOutcome& out = outcomes[i];
+    if (out.failed) {
+      ++failed_isps;
+      if (health.reasons.empty() ||
+          health.reasons.back().find("clustering error") == std::string::npos) {
+        health.reasons.push_back(std::string("clustering error: ") + out.error);
+      }
+    }
+    if (!out.per_xi.front().usable) ++health.dropped;
+    for (std::size_t x = 0; x < xis.size(); ++x) {
+      results[x].push_back(std::move(out.per_xi[x]));
+    }
+  }
+
+  if (health.total > 0 && health.dropped == health.total) {
+    health.status = fault::StageStatus::kFailed;
+    health.reasons.push_back("no ISP passed the usable-sites filter");
+  } else if (failed_isps > 0 || (plan_.active() && health.dropped > 0)) {
+    health.status = fault::StageStatus::kDegraded;
+    if (health.dropped > 0) {
+      health.reasons.push_back(count_reason(
+          "ISPs below the usable-sites filter", health.dropped, health.total));
+    }
+  }
+  // Publish each xi's artifact before folding in corruption notes (the
+  // recomputed outputs are correct; only this run is flagged degraded).
+  if (artifacts_ != nullptr && health.status != fault::StageStatus::kFailed) {
+    for (std::size_t x = 0; x < xis.size(); ++x) {
+      store::ByteWriter writer;
+      store::encode(writer, health);
+      store::encode(writer, results[x]);
+      artifacts_->save(make_key("clustering", store::kClusteringSchema,
+                                world_digest_, {xi_key(xis[x])}),
+                       writer.bytes());
+    }
+  }
+  if (const std::uint64_t corrupt = corrupt_matrices.load(); corrupt > 0) {
+    note_store_corruption(health, std::to_string(corrupt) +
+                                      " corrupt latency matrices recomputed");
+  }
+  if (!corruption.empty()) note_store_corruption(health, corruption);
+  record_health("clustering", health);
+
+  for (std::size_t x = 0; x < xis.size(); ++x) {
+    cluster_index_[xi_key(xis[x])] = index;
+    clusterings_[xi_key(xis[x])] = std::move(results[x]);
+  }
+  return clusterings_.at(key);
 }
 
 LatencyMatrix Pipeline::fetch_isp_matrix(
@@ -538,339 +648,6 @@ LatencyMatrix Pipeline::isp_latency_matrix(AsIndex isp) const {
     record_health("clustering", health);
   }
   return matrix;
-}
-
-Pipeline::ClusterFanout Pipeline::cluster_isps(
-    const std::vector<AsIndex>& isps, std::span<const double> xis) const {
-  ColocationConfig config;
-  config.filter = scenario_.filter;
-  const OffnetRegistry& reg = registry(Snapshot::k2023);
-  const PingMesh& mesh = ping_mesh();
-  const ColocationClusterer clusterer(reg, mesh, vantage_points(), config);
-
-  // Fan the per-ISP clustering across the thread pool. Each ISP's outcome
-  // lands in its own preallocated slot, and the health/result merge walks
-  // the slots in ISP order on one thread, so results, health records and
-  // counters are bit-identical to the serial loop for any thread count.
-  ClusterFanout fanout;
-  fanout.outcomes.resize(isps.size());
-  std::vector<IspOutcome>& outcomes = fanout.outcomes;
-  const std::size_t threads =
-      std::min(default_thread_count(), std::max<std::size_t>(isps.size(), 1));
-  obs::metrics().gauge("cluster.threads").set(static_cast<double>(threads));
-  obs::metrics().gauge("cluster.tasks").set(static_cast<double>(isps.size()));
-  const std::size_t block =
-      std::max<std::size_t>(1, isps.size() / (threads * 4));
-  // Per-ISP latency matrices are the expensive xi-independent half of the
-  // clustering stage, so workers consult/publish them individually; the
-  // store serializes internally, keeping the fan-out data-race free (the
-  // TSan tier of scripts/check.sh covers this path). fetch_isp_matrix goes
-  // through the attached store when present (single-flight, self-healing),
-  // else measures directly; it is lock-free so pool workers can call it
-  // while the fan-out caller holds the stage mutex.
-  std::atomic<std::uint64_t> corrupt_matrices{0};
-
-  parallel_for_blocks(
-      isps.size(), block,
-      [&](std::size_t begin, std::size_t end) {
-        // Shard-level aggregation: each worker's contiguous run of ISPs is
-        // one sample of cluster.shard_ms, next to the per-ISP wall times.
-        // The spans ride the task-context propagation in the pool, so they
-        // render under pipeline.clustering in the exported trace instead of
-        // as orphan roots.
-        obs::ScopedSpan shard_span("cluster.shard");
-        obs::ScopedTimer shard_timer("cluster.shard_ms");
-        for (std::size_t i = begin; i < end; ++i) {
-          obs::ScopedSpan isp_span("cluster.isp");
-          obs::ScopedTimer timer("cluster.isp_wall_ms");
-          IspOutcome& out = outcomes[i];
-          try {
-            out.per_xi = clusterer.cluster_isp_multi(
-                isps[i], xis,
-                fetch_isp_matrix(reg, mesh, isps[i], corrupt_matrices));
-          } catch (const Error& error) {
-            // Quality gate: one pathological ISP matrix must not abort the
-            // other few thousand -- keep an unusable placeholder, move on.
-            out.failed = true;
-            out.error = error.what();
-            IspClustering placeholder;
-            placeholder.isp = isps[i];
-            out.per_xi.assign(xis.size(), placeholder);
-          }
-          obs::metrics().counter("cluster.isps_clustered").add(1);
-        }
-      },
-      threads);
-  fanout.corrupt_matrices = corrupt_matrices.load();
-  return fanout;
-}
-
-const std::vector<IspClustering>& Pipeline::merge_isp_outcomes(
-    const std::vector<AsIndex>& isps, std::span<const double> xis,
-    ClusterFanout fanout, const std::string& corruption,
-    std::uint64_t key) const {
-  std::vector<IspOutcome>& outcomes = fanout.outcomes;
-  require(outcomes.size() == isps.size(),
-          "merge_isp_outcomes: outcome count mismatch");
-
-  // Deterministic, ISP-ordered merge on the calling thread.
-  fault::StageHealth health;
-  std::uint64_t failed_isps = 0;
-  std::vector<std::vector<IspClustering>> results(xis.size());
-  std::map<AsIndex, std::size_t> index;
-  for (std::size_t i = 0; i < isps.size(); ++i) {
-    index.emplace(isps[i], results.front().size());
-    ++health.total;
-    IspOutcome& out = outcomes[i];
-    if (out.failed) {
-      ++failed_isps;
-      if (health.reasons.empty() ||
-          health.reasons.back().find("clustering error") == std::string::npos) {
-        health.reasons.push_back(std::string("clustering error: ") + out.error);
-      }
-    }
-    if (!out.per_xi.front().usable) ++health.dropped;
-    for (std::size_t x = 0; x < xis.size(); ++x) {
-      results[x].push_back(std::move(out.per_xi[x]));
-    }
-  }
-
-  if (health.total > 0 && health.dropped == health.total) {
-    health.status = fault::StageStatus::kFailed;
-    health.reasons.push_back("no ISP passed the usable-sites filter");
-  } else if (failed_isps > 0 || (plan_.active() && health.dropped > 0)) {
-    health.status = fault::StageStatus::kDegraded;
-    if (health.dropped > 0) {
-      health.reasons.push_back(count_reason(
-          "ISPs below the usable-sites filter", health.dropped, health.total));
-    }
-  }
-  // Publish each xi's artifact before folding in corruption notes (the
-  // recomputed outputs are correct; only this run is flagged degraded).
-  if (artifacts_ != nullptr && health.status != fault::StageStatus::kFailed) {
-    for (std::size_t x = 0; x < xis.size(); ++x) {
-      store::ByteWriter writer;
-      store::encode(writer, health);
-      store::encode(writer, results[x]);
-      artifacts_->save(make_key("clustering", store::kClusteringSchema,
-                                world_digest_, {xi_key(xis[x])}),
-                       writer.bytes());
-    }
-  }
-  if (fanout.corrupt_matrices > 0) {
-    note_store_corruption(health,
-                          std::to_string(fanout.corrupt_matrices) +
-                              " corrupt latency matrices recomputed");
-  }
-  if (!corruption.empty()) note_store_corruption(health, corruption);
-  record_health("clustering", health);
-
-  for (std::size_t x = 0; x < xis.size(); ++x) {
-    cluster_index_[xi_key(xis[x])] = index;
-    clusterings_[xi_key(xis[x])] = std::move(results[x]);
-  }
-  return clusterings_.at(key);
-}
-
-std::size_t Pipeline::shard_of(std::uint64_t measurement_digest, AsIndex isp,
-                               std::size_t shard_count) noexcept {
-  if (shard_count <= 1) return 0;
-  return static_cast<std::size_t>(
-      store::Fnv1a()
-          .mix(measurement_digest)
-          .mix(static_cast<std::uint64_t>(isp))
-          .digest() %
-      shard_count);
-}
-
-void Pipeline::compute_clustering_shard(std::size_t shard,
-                                        std::size_t shard_count,
-                                        double xi) const {
-  require(artifacts_ != nullptr,
-          "compute_clustering_shard: needs an artifact store (the shared "
-          "medium between shard processes)");
-  require(shard_count >= 1 && shard < shard_count,
-          "compute_clustering_shard: shard outside [0, shard_count)");
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  obs::ScopedSpan span("pipeline.clustering_shard");
-
-  const std::vector<double> xis = xi_batch(xi);
-  const std::uint64_t partition_digest = measurement_digest(scenario_);
-
-  // Force every upstream stage before bracketing the counter delta: the
-  // fan-out below must be the only thing between the two snapshots, so the
-  // delta replays cleanly in a parent that forced the same stages itself.
-  const std::vector<AsIndex> all = hosting_isps_2023();
-  registry(Snapshot::k2023);
-  vantage_points();
-  ping_mesh();
-
-  std::vector<AsIndex> mine;
-  for (const AsIndex isp : all) {
-    if (shard_of(partition_digest, isp, shard_count) == shard) {
-      mine.push_back(isp);
-    }
-  }
-
-  std::map<std::string, std::uint64_t> before;
-  for (const auto& [name, value] : obs::metrics().snapshot().counters) {
-    before[name] = value;
-  }
-
-  ClusterFanout fanout = cluster_isps(mine, xis);
-
-  // Domain-counter delta of the fan-out (cluster.*, filters.*, ...); store
-  // and pipeline bookkeeping stays per-process. Counters the fan-out merely
-  // *registered* (zero adds, like filters.nonfinite_leaked on a clean run)
-  // ride along with a zero delta: replaying them registers the same entry
-  // in the parent, so the merged counter listing matches a single-process
-  // run name-for-name, not just value-for-value.
-  std::vector<std::pair<std::string, std::uint64_t>> deltas;
-  for (const auto& [name, value] : obs::metrics().snapshot().counters) {
-    if (shard_local_counter(name)) continue;
-    const auto it = before.find(name);
-    if (it == before.end()) {
-      deltas.emplace_back(name, value);
-    } else if (value > it->second) {
-      deltas.emplace_back(name, value - it->second);
-    }
-  }
-
-  store::ByteWriter writer;
-  writer.u64(shard);
-  writer.u64(shard_count);
-  writer.u64(xis.size());
-  for (const double x : xis) writer.u64(xi_key(x));
-  writer.u64(fanout.corrupt_matrices);
-  writer.u64(mine.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    const IspOutcome& out = fanout.outcomes[i];
-    writer.u64(static_cast<std::uint64_t>(mine[i]));
-    writer.u8(out.failed ? 1 : 0);
-    writer.str(out.error);
-    store::encode(writer, out.per_xi);
-  }
-  writer.u64(deltas.size());
-  for (const auto& [name, value] : deltas) {
-    writer.str(name);
-    writer.u64(value);
-  }
-  artifacts_->save(make_key("clustershard", store::kClusterShardSchema,
-                            world_digest_,
-                            {shard, shard_count, xi_key(xi)}),
-                   writer.bytes());
-}
-
-void Pipeline::merge_clustering_shards(std::size_t shard_count,
-                                       double xi) const {
-  require(artifacts_ != nullptr,
-          "merge_clustering_shards: needs an artifact store");
-  require(shard_count >= 1, "merge_clustering_shards: zero shards");
-  std::lock_guard<std::recursive_mutex> lock(stage_mutex_);
-  obs::ScopedSpan span("pipeline.clustering_merge");
-
-  const std::vector<double> xis = xi_batch(xi);
-  const std::uint64_t partition_digest = measurement_digest(scenario_);
-
-  // The parent owns the stage health and counters of every non-clustering
-  // stage, exactly like a single-process run: force them before merging.
-  const std::vector<AsIndex> isps = hosting_isps_2023();
-  registry(Snapshot::k2023);
-  vantage_points();
-  ping_mesh();
-
-  // Each shard's slots into the global hosting-ISP order (the shard
-  // artifact lists its ISPs in the same filtered sub-order).
-  std::vector<std::vector<std::size_t>> shard_slots(shard_count);
-  for (std::size_t i = 0; i < isps.size(); ++i) {
-    shard_slots[shard_of(partition_digest, isps[i], shard_count)].push_back(i);
-  }
-
-  ClusterFanout merged;
-  merged.outcomes.resize(isps.size());
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    bool replayed = false;
-    const store::LoadResult loaded =
-        artifacts_->load(make_key("clustershard", store::kClusterShardSchema,
-                                  world_digest_, {s, shard_count, xi_key(xi)}));
-    if (loaded.hit()) {
-      try {
-        store::ByteReader reader(loaded.payload);
-        const std::uint64_t got_shard = reader.u64();
-        const std::uint64_t got_count = reader.u64();
-        const std::uint64_t got_xis = reader.u64();
-        bool consistent = got_shard == s && got_count == shard_count &&
-                          got_xis == xis.size();
-        for (std::uint64_t x = 0; x < got_xis; ++x) {
-          const std::uint64_t got_key = reader.u64();
-          consistent = consistent && x < xis.size() &&
-                       got_key == xi_key(xis[static_cast<std::size_t>(x)]);
-        }
-        if (!consistent) throw store::SerdeError("clustershard layout drift");
-        const std::uint64_t shard_corrupt = reader.u64();
-        const std::uint64_t count = reader.u64();
-        if (count != shard_slots[s].size()) {
-          throw store::SerdeError("clustershard ISP count drift");
-        }
-        std::vector<IspOutcome> outcomes(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
-          IspOutcome& out = outcomes[static_cast<std::size_t>(i)];
-          const AsIndex isp = static_cast<AsIndex>(reader.u64());
-          if (isp != isps[shard_slots[s][static_cast<std::size_t>(i)]]) {
-            throw store::SerdeError("clustershard ISP order drift");
-          }
-          out.failed = reader.u8() != 0;
-          out.error = reader.str();
-          out.per_xi = store::decode_clusterings(reader);
-          if (out.per_xi.size() != xis.size()) {
-            throw store::SerdeError("clustershard xi count drift");
-          }
-        }
-        const std::uint64_t delta_count = reader.u64();
-        std::vector<std::pair<std::string, std::uint64_t>> deltas;
-        deltas.reserve(static_cast<std::size_t>(delta_count));
-        for (std::uint64_t i = 0; i < delta_count; ++i) {
-          std::string name = reader.str();
-          const std::uint64_t value = reader.u64();
-          deltas.emplace_back(std::move(name), value);
-        }
-        // Fully decoded: commit. Replaying the worker's domain-counter
-        // deltas makes the merged registry match a single-process cold
-        // run's counters exactly (the worker bracketed only the fan-out).
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          merged.outcomes[shard_slots[s][i]] = std::move(outcomes[i]);
-        }
-        for (const auto& [name, value] : deltas) {
-          obs::metrics().counter(name).add(value);
-        }
-        merged.corrupt_matrices += shard_corrupt;
-        replayed = true;
-      } catch (const Error&) {
-        replayed = false;
-      }
-    }
-    if (!replayed) {
-      // Missing, corrupt, or drifted shard artifact: recompute its ISPs in
-      // this process. The outputs are bit-identical (that is the whole
-      // bit-identity contract); only store.* bookkeeping shifts, which the
-      // shard tests already exclude. Not a health event -- the transport
-      // cache missed, nothing degraded.
-      obs::metrics().counter("store.shard_fallback").add(1);
-      std::vector<AsIndex> mine;
-      mine.reserve(shard_slots[s].size());
-      for (const std::size_t slot : shard_slots[s]) {
-        mine.push_back(isps[slot]);
-      }
-      ClusterFanout fanout = cluster_isps(mine, xis);
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        merged.outcomes[shard_slots[s][i]] = std::move(fanout.outcomes[i]);
-      }
-      merged.corrupt_matrices += fanout.corrupt_matrices;
-    }
-  }
-
-  merge_isp_outcomes(isps, xis, std::move(merged), std::string(),
-                     xi_key(xi));
 }
 
 const IspClustering* Pipeline::clustering_of(double xi, AsIndex isp) const {

@@ -49,7 +49,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -163,56 +162,7 @@ class Pipeline {
   /// ISPs hosting at least one offnet in the 2023 discovery.
   std::vector<AsIndex> hosting_isps_2023() const;
 
-  // --- multi-process shard mode (examples/repro-shard, docs/SCALING.md) ---
-  //
-  // The clustering stage partitions its hosting ISPs across `shard_count`
-  // cooperating processes. Each worker process runs
-  // compute_clustering_shard() for its shard index and publishes the
-  // outcomes (plus its domain-counter deltas) as a "clustershard" artifact;
-  // the parent then runs merge_clustering_shards(), which replays every
-  // shard's outcomes through the exact ISP-ordered merge the single-process
-  // fan-out uses. Results, StageHealth and domain counters are bit-identical
-  // to a single-process run for every shard count (tests/test_scale.cpp).
-
-  /// Deterministic shard assignment: which of `shard_count` shards owns
-  /// `isp`. Pure function of (measurement digest, isp), so every process
-  /// agrees on the partition without coordination.
-  static std::size_t shard_of(std::uint64_t measurement_digest, AsIndex isp,
-                              std::size_t shard_count) noexcept;
-
-  /// Worker half: clusters only the hosting ISPs this shard owns and
-  /// publishes the outcomes as a "clustershard" artifact in the attached
-  /// store (the shared medium between shard processes). Requires a store.
-  void compute_clustering_shard(std::size_t shard, std::size_t shard_count,
-                                double xi = 0.1) const;
-
-  /// Parent half: loads every shard's artifact (recomputing a missing or
-  /// corrupt shard in-process), replays the per-shard counter deltas, and
-  /// runs the canonical ISP-ordered merge. Afterwards clusterings(xi) for
-  /// the batch's xis answers from the in-process cache.
-  void merge_clustering_shards(std::size_t shard_count, double xi = 0.1) const;
-
  private:
-  /// Outcome slot of one ISP's clustering fan-out task.
-  struct IspOutcome {
-    std::vector<IspClustering> per_xi;
-    bool failed = false;
-    std::string error;
-  };
-
-  /// Fan-out result: per-ISP outcomes plus the corrupt-matrix recoveries
-  /// the workers performed along the way.
-  struct ClusterFanout {
-    std::vector<IspOutcome> outcomes;
-    std::uint64_t corrupt_matrices = 0;
-  };
-
-  /// Runs the per-ISP clustering fan-out over the thread pool. Pure with
-  /// respect to pipeline state other than lazily forcing the mesh/registry
-  /// stages; records no health (the merge does).
-  ClusterFanout cluster_isps(const std::vector<AsIndex>& isps,
-                             std::span<const double> xis) const;
-
   /// Lock-free matrix fetch shared by the public isp_latency_matrix() and
   /// the fan-out's pool workers: store single-flight when attached, direct
   /// measurement otherwise. Takes the already-forced registry/mesh by
@@ -220,15 +170,6 @@ class Pipeline {
   LatencyMatrix fetch_isp_matrix(const OffnetRegistry& reg,
                                  const PingMesh& mesh, AsIndex isp,
                                  std::atomic<std::uint64_t>& corrupt) const;
-
-  /// Deterministic ISP-ordered merge of fan-out outcomes: aggregates the
-  /// clustering StageHealth, publishes the per-xi clustering artifacts,
-  /// folds in corruption notes, and fills the in-process caches. Returns
-  /// the clusterings for `key`.
-  const std::vector<IspClustering>& merge_isp_outcomes(
-      const std::vector<AsIndex>& isps, std::span<const double> xis,
-      ClusterFanout fanout, const std::string& corruption,
-      std::uint64_t key) const;
 
   /// Folds a stage's health record into the map, bumps the fault counters,
   /// and republishes the run-report "fault" section. Thread-safe: stages

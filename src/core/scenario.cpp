@@ -1,5 +1,9 @@
 #include "core/scenario.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
 #include "store/serde.h"
 
 namespace repro {
@@ -75,6 +79,18 @@ Scenario Scenario::at_scale(Scale scale) {
     case Scale::k10x: return tenx();
   }
   return tiny();
+}
+
+Scenario scenario_from_env(Scale fallback) {
+  const char* scale = std::getenv("REPRO_SCALE");
+  if (scale != nullptr) {
+    if (const auto parsed = parse_scale(scale); parsed.has_value()) {
+      return Scenario::at_scale(*parsed);
+    }
+    std::fprintf(stderr, "unknown REPRO_SCALE '%s', using %s\n", scale,
+                 std::string(to_string(fallback)).c_str());
+  }
+  return Scenario::at_scale(fallback);
 }
 
 namespace {

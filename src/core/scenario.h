@@ -66,6 +66,11 @@ struct Scenario {
   static Scenario at_scale(Scale scale);
 };
 
+/// Scenario for the REPRO_SCALE environment variable: any spelling
+/// parse_scale accepts. Unset, or spelt in a way parse_scale rejects (with a
+/// warning on stderr), it is the `fallback` preset.
+Scenario scenario_from_env(Scale fallback = Scale::kPaper);
+
 /// 64-bit digest over every scenario field that determines the persistent
 /// pipeline artifacts (topology, deployment, population, scanner, ping and
 /// filter configs plus the vantage-point campaign). Two scenarios with the

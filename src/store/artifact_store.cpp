@@ -1,6 +1,9 @@
 #include "store/artifact_store.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +32,15 @@ std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes) noexcept {
     state *= 0x100000001b3ULL;
   }
   return state;
+}
+
+/// Spool-file name for one save: unique per process (pid) and per save
+/// within it (one counter shared by every instance), so two processes or
+/// two instances publishing over one root never write the same temp file.
+std::string spool_name(const std::string& filename) {
+  static std::atomic<std::uint64_t> counter{0};
+  return ".tmp-" + std::to_string(::getpid()) + "-" +
+         std::to_string(counter.fetch_add(1)) + "-" + filename;
 }
 
 std::string hex16(std::uint64_t value) {
@@ -345,8 +357,7 @@ bool ArtifactStore::save(const ArtifactKey& key,
   }
 
   const fs::path dir(config_.root);
-  const fs::path temp =
-      dir / (".tmp-" + std::to_string(++temp_counter_) + "-" + filename);
+  const fs::path temp = dir / spool_name(filename);
   const fs::path target = dir / filename;
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);

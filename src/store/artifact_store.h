@@ -223,7 +223,6 @@ class ArtifactStore {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   std::uint64_t used_bytes_ = 0;
   StoreStats stats_;
-  std::uint64_t temp_counter_ = 0;
   StoreChaos chaos_;                             // guarded by mutex_
   std::unordered_set<std::string> chaos_done_;   // one-shot ledger
 

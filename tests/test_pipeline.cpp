@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 namespace repro {
 namespace {
 
@@ -94,6 +96,35 @@ TEST_F(PipelineTest, RoutingReachesHypergiants) {
   for (const AsIndex isp : pipeline_->internet().access_isps()) {
     EXPECT_TRUE(table.entry(isp).reachable);
   }
+}
+
+TEST(ScenarioFromEnv, ParsesEveryScaleAndFallsBackOnUnknownSpelling) {
+  // The one REPRO_SCALE reader behind full_report, chaos_report and every
+  // bench: each parse_scale spelling picks its preset, whatever the fallback.
+  const auto with_env = [](const char* scale, Scale fallback) {
+    if (scale != nullptr) {
+      ::setenv("REPRO_SCALE", scale, 1);
+    } else {
+      ::unsetenv("REPRO_SCALE");
+    }
+    const Scenario scenario = scenario_from_env(fallback);
+    ::unsetenv("REPRO_SCALE");
+    return scenario;
+  };
+
+  EXPECT_EQ(with_env("tiny", Scale::kPaper).scale, Scale::kTiny);
+  EXPECT_EQ(with_env("small", Scale::kPaper).scale, Scale::kSmall);
+  EXPECT_EQ(with_env("paper", Scale::kSmall).scale, Scale::kPaper);
+  const Scenario tenx = with_env("10x", Scale::kPaper);
+  EXPECT_EQ(tenx.scale, Scale::k10x);
+  EXPECT_EQ(measurement_digest(tenx), measurement_digest(Scenario::tenx()));
+
+  // Unset or misspelt: the fallback, paper unless the caller says otherwise.
+  EXPECT_EQ(with_env(nullptr, Scale::kPaper).scale, Scale::kPaper);
+  EXPECT_EQ(with_env("10X", Scale::kPaper).scale, Scale::kPaper);
+  EXPECT_EQ(with_env("papr", Scale::kPaper).scale, Scale::kPaper);
+  EXPECT_EQ(scenario_from_env().scale, Scale::kPaper);
+  EXPECT_EQ(with_env(nullptr, Scale::kSmall).scale, Scale::kSmall);
 }
 
 }  // namespace

@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -626,6 +628,52 @@ TEST_F(StoreTest, ConcurrentLoadsAndSavesAreSafe) {
   const store::StoreStats stats = artifacts.stats();
   EXPECT_EQ(stats.corrupt, 0u);
   EXPECT_GT(stats.saved, 0u);
+}
+
+TEST_F(StoreTest, ConcurrentPublishersOverOneRootNeverTearAnArtifact) {
+  // Two instances over one root stand in for two processes sharing a store
+  // (pipelines in different binaries, service workers): each spools a save
+  // to a temp file and renames it into place. If both picked the same temp
+  // name, one could rename the other's half-written spool into place, and
+  // a concurrent reader would then quarantine it as corrupt.
+  store::ArtifactStore first(config());
+  store::ArtifactStore second(config());
+  store::ArtifactStore reader(config());
+  const store::ArtifactKey key = test_key("matrix", 1, 3);
+  const std::vector<std::uint8_t> payload = test_payload(1 << 17, 0x5a);
+  constexpr int kSaves = 150;
+
+  std::atomic<int> writers_left{2};
+  std::atomic<int> failed_saves{0};
+  const auto publish = [&](store::ArtifactStore& artifacts) {
+    for (int i = 0; i < kSaves; ++i) {
+      if (!artifacts.save(key, payload)) failed_saves.fetch_add(1);
+    }
+    writers_left.fetch_sub(1);
+  };
+  std::uint64_t loads = 0;
+  std::uint64_t corrupt_loads = 0;
+  std::thread load_thread([&] {
+    while (writers_left.load() > 0) {
+      const store::LoadResult result = reader.load(key);
+      ++loads;
+      if (result.corrupt()) ++corrupt_loads;
+      if (result.hit()) {
+        EXPECT_EQ(result.payload, payload);
+      }
+    }
+  });
+  std::thread first_thread(publish, std::ref(first));
+  std::thread second_thread(publish, std::ref(second));
+  first_thread.join();
+  second_thread.join();
+  load_thread.join();
+
+  EXPECT_EQ(corrupt_loads, 0u) << "out of " << loads << " loads";
+  EXPECT_EQ(failed_saves.load(), 0);
+  const store::LoadResult last = reader.load(key);
+  ASSERT_TRUE(last.hit());
+  EXPECT_EQ(last.payload, payload);
 }
 
 // --- warm start == cold start (the tentpole contract) ----------------------
